@@ -3,9 +3,9 @@
 // Replays one seeded churn workload twice over the same Ark-derived
 // general topology:
 //
-//   * engine:   engine::Engine in synchronous mode — O(churn) index
-//     deltas, feasibility patch, then the incremental CELF re-solve
-//     against the live coverage index.
+//   * engine:   engine::Engine — O(churn) index deltas, feasibility
+//     patch, then the incremental CELF re-solve against the live
+//     coverage index.
 //   * baseline: from-scratch per epoch — rebuild the core::Instance from
 //     the full flow set and run budgeted feasibility-aware GTP (the
 //     DynamicPlacer reference solver).
@@ -144,7 +144,6 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
   options.k = k;
   options.lambda = lambda;
   options.move_threshold = 0.0;  // track the re-solve exactly
-  options.synchronous = true;    // measure honest per-epoch latency
   engine::Engine eng(workload.network, options);
 
   const ReplayResult eng_result = ReplayEngine(eng, workload);

@@ -97,7 +97,6 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
   options.k = k;
   options.lambda = lambda;
   options.move_threshold = 0.0;
-  options.synchronous = true;  // deterministic fault replay
   options.max_resolve_retries = 1;
   options.degrade_after_failures = 2;
   options.patch_only_after_failures = 4;

@@ -122,7 +122,6 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
   options.k = k;
   options.lambda = lambda;
   options.move_threshold = 0.0;
-  options.synchronous = true;  // per-epoch latency, no pool jitter
 
   double untraced_ms = 0.0;
   double traced_ms = 0.0;

@@ -84,7 +84,6 @@ ProfiledEngineRun RunEngine(const ChurnWorkload& w, std::size_t k,
   options.k = k;
   options.lambda = lambda;
   options.move_threshold = 0.0;
-  options.synchronous = true;
 
   obs::Profiler::Options prof_options;
   prof_options.sample_hz = sample_hz;

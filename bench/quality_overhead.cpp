@@ -69,7 +69,6 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
   options.k = k;
   options.lambda = lambda;
   options.move_threshold = 0.0;
-  options.synchronous = true;  // per-epoch latency, no pool jitter
 
   double off_ms = 0.0;
   double on_ms = 0.0;

@@ -101,17 +101,6 @@ class CondVar {
     lock.release();  // hand the still-held lock back to the caller
   }
 
-  /// Blocks until notified or `timeout` elapses (spurious wakeups
-  /// possible, as with std::condition_variable::wait_for).
-  template <typename Rep, typename Period>
-  void WaitFor(Mutex& mu,
-               const std::chrono::duration<Rep, Period>& timeout)
-      TDMD_REQUIRES(mu) TDMD_NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
-    cv_.wait_for(lock, timeout);
-    lock.release();
-  }
-
   /// Blocks until `pred()` is true or `timeout` elapses; returns pred().
   template <typename Rep, typename Period, typename Pred>
   bool WaitFor(Mutex& mu,

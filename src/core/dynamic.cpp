@@ -1,6 +1,7 @@
 #include "core/dynamic.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "core/gtp.hpp"
@@ -15,15 +16,6 @@ DynamicPlacer::DynamicPlacer(graph::Digraph network, DynamicOptions options)
       options_(std::move(options)),
       deployment_(network_.num_vertices()) {
   TDMD_CHECK(options_.k >= 1);
-  if (!options_.solver) {
-    const std::size_t k = options_.k;
-    options_.solver = [k](const Instance& instance) {
-      GtpOptions gtp;
-      gtp.max_middleboxes = k;
-      gtp.feasibility_aware = true;
-      return Gtp(instance, gtp);
-    };
-  }
 }
 
 std::size_t DynamicPlacer::PatchFeasibility(const Instance& instance) {
@@ -81,7 +73,10 @@ EpochReport DynamicPlacer::Step(const traffic::FlowSet& arrivals,
   }
 
   // Re-solve from scratch (the regret reference).
-  const PlacementResult resolved = options_.solver(instance);
+  GtpOptions gtp;
+  gtp.max_middleboxes = options_.k;
+  gtp.feasibility_aware = true;
+  const PlacementResult resolved = Gtp(instance, gtp);
   report.resolve_bandwidth = resolved.bandwidth;
 
   // Candidate 1: keep the maintained plan, minimally patched.

@@ -8,7 +8,7 @@
 // deployment across epochs:
 //
 //   * Each epoch applies arrivals/departures to the flow set.
-//   * The placer re-solves with the configured algorithm, but only
+//   * The placer re-solves with budgeted feasibility-aware GTP, but only
 //     *adopts* the new plan if it saves at least `move_threshold`
 //     bandwidth per middlebox moved (hysteresis); otherwise it patches
 //     feasibility minimally (greedy-covers any newly unserved flows with
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,8 +36,6 @@ struct DynamicOptions {
   double lambda = 0.5;
   /// Minimum bandwidth saving per moved middlebox to adopt a re-solve.
   double move_threshold = 0.0;
-  /// The solver used for re-planning (budgeted; takes an Instance).
-  std::function<PlacementResult(const Instance&)> solver;
 };
 
 struct EpochReport {
@@ -56,8 +53,7 @@ struct EpochReport {
 
 class DynamicPlacer {
  public:
-  /// The network is fixed; flows churn.  `options.solver` defaults to
-  /// budgeted feasibility-aware GTP when empty.
+  /// The network is fixed; flows churn.
   DynamicPlacer(graph::Digraph network, DynamicOptions options);
 
   /// Applies one epoch of churn and re-evaluates.  `departures` (indices

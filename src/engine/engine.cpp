@@ -1,12 +1,10 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <ostream>
 #include <utility>
 
 #include "analysis/audit.hpp"
-#include "common/backoff.hpp"
 #include "core/objective.hpp"
 #include "engine/checkpoint.hpp"
 #include "obs/build_info.hpp"
@@ -80,30 +78,10 @@ Engine::Engine(graph::Digraph network, EngineOptions options)
   if (options_.fault_injector != nullptr) {
     index_.set_fault_injector(options_.fault_injector);
   }
-  if (!options_.synchronous) {
-    pool_ = std::make_unique<parallel::ThreadPool>(
-        std::max<std::size_t>(1, options_.solver_threads));
-    if (options_.watchdog_interval.count() > 0) {
-      watchdog_ = std::thread([this]() { WatchdogLoop(); });
-    }
-  }
   {
     MutexLock lock(state_mu_);
     PublishLocked();  // version 1: the empty deployment, trivially feasible
   }
-}
-
-Engine::~Engine() {
-  {
-    MutexLock lock(state_mu_);
-    stopping_ = true;
-    if (current_cancel_) {
-      current_cancel_->store(true, std::memory_order_relaxed);
-    }
-  }
-  watchdog_cv_.NotifyAll();
-  if (watchdog_.joinable()) watchdog_.join();
-  pool_.reset();  // drains and joins; tasks may still lock state_mu_
 }
 
 template <typename Fn>
@@ -133,12 +111,6 @@ Engine::BatchResult Engine::SubmitBatch(
   MutexLock lock(state_mu_);
   current_batch_id_ = submit.batch_id;
   last_adoption_ns_ = 0;
-
-  // NORMAL: a newer epoch makes the in-flight re-solve stale, so cancel
-  // it cooperatively before touching the index.  The degraded modes keep
-  // it running: its deployment will be discarded as stale when it lands,
-  // but its completion is the recovery signal.
-  if (mode_ == EngineMode::kNormal) CancelInflightLocked();
 
   ++epoch_;
   ++stats_.epochs;
@@ -221,26 +193,15 @@ Engine::BatchResult Engine::SubmitBatch(
   if (!submit.defer_resolve && index_.active_flows() > 0) {
     if (mode_ == EngineMode::kPatchOnly) {
       ++epochs_since_probe_;
-      if (epochs_since_probe_ >= options_.probe_interval_epochs &&
-          !inflight_.active) {
+      if (epochs_since_probe_ >= options_.probe_interval_epochs) {
         epochs_since_probe_ = 0;
-        ScheduleResolveLocked();  // probe: detects pipeline recovery
-      }
-    } else if (mode_ == EngineMode::kDegraded && inflight_.active) {
-      // Overload posture: let the in-flight re-solve finish; fold this
-      // epoch's re-solve request into a bounded pending count drained
-      // when the chain ends.
-      if (pending_resolves_ < options_.max_pending_resolves) {
-        ++pending_resolves_;
-      } else {
-        ++stats_.resolves_coalesced;
+        ResolveLocked();  // probe: detects solver recovery
       }
     } else if (ResolveDueLocked()) {
-      CancelInflightLocked();
-      ScheduleResolveLocked();
+      ResolveLocked();
     }
   }
-  // The batch's last published-state advance: a synchronous adoption when
+  // The batch's last published-state advance: a re-solve adoption when
   // one landed inside this call, otherwise the patch publish.  Fleet runs
   // mark it with a batch-adopted instant so the merged trace closes each
   // batch's causal chain.
@@ -384,9 +345,9 @@ void Engine::PublishLocked() {
   }
 
   // Quality sampling rides every publish except the constructor's empty
-  // one (epoch 0): in sync mode that is two samples per epoch (post-patch
-  // and, on adoption, post-adoption), all deterministic in the churn
-  // stream so checkpoint replay reproduces the timeline byte-identically.
+  // one (epoch 0): that is two samples per epoch (post-patch and, on
+  // adoption, post-adoption), all deterministic in the churn stream so
+  // checkpoint replay reproduces the timeline byte-identically.
   if (options_.quality_sampling && epoch_ > 0) {
     obs::QualitySampleInputs inputs;
     inputs.epoch = epoch_;
@@ -418,8 +379,8 @@ void Engine::PublishLocked() {
 void Engine::MaybeAdoptLocked(const IncrementalGtpResult& result,
                               bool expired) {
   // maintained_bandwidth_/maintained_feasible_ are current for this
-  // epoch's flow set: they were refreshed by the SubmitBatch that started
-  // this re-solve chain, and the caller verified the epoch is current.
+  // epoch's flow set: they were refreshed by the SubmitBatch that runs
+  // this re-solve.
   const std::size_t moves =
       core::DeploymentMoveCount(deployment_, result.deployment);
   const double required =
@@ -487,78 +448,23 @@ void Engine::TransitionLocked(EngineMode target) {
   if (mode_ == EngineMode::kPatchOnly) epochs_since_probe_ = 0;
 }
 
-void Engine::CancelInflightLocked() {
-  if (current_cancel_) {
-    current_cancel_->store(true, std::memory_order_relaxed);
-    current_cancel_.reset();
-  }
-  inflight_.active = false;
-}
-
-void Engine::FinishChainLocked() {
-  if (pending_resolves_ == 0) return;
-  pending_resolves_ = 0;  // coalesced requests collapse into one re-solve
-  if (!stopping_ && mode_ != EngineMode::kPatchOnly &&
-      index_.active_flows() > 0) {
-    ScheduleResolveLocked();
-  }
-}
-
-bool Engine::HandleResolveOutcomeLocked(
-    const IncrementalGtpResult& result, bool threw, std::uint64_t epoch,
-    const std::shared_ptr<std::atomic<bool>>& cancel, std::size_t attempt) {
+bool Engine::HandleResolveOutcomeLocked(const IncrementalGtpResult& result,
+                                        bool threw, std::size_t attempt) {
   stats_.gain_reevals += result.oracle_calls;
   stats_.reevals_saved += result.reevals_saved;
-  if (cancel == abandoned_token_) {
-    // Straggler of an attempt the watchdog already declared lost (and
-    // counted as a timeout); drop it instead of double-counting.
-    abandoned_token_.reset();
-    return false;
-  }
-  bool watchdog_kill = false;
-  if (inflight_.active && inflight_.cancel == cancel) {
-    watchdog_kill = inflight_.killed_by_watchdog;
-    inflight_.active = false;
-  }
-  if (stopping_ || epoch != epoch_) {
-    // Superseded by a newer epoch (or shutdown): the deployment answers a
-    // stale question.  In the degraded modes a *clean* stale completion is
-    // still the recovery signal — the pipeline can finish solves again.
-    ++stats_.resolves_cancelled;
-    if (!stopping_) {
-      if (!threw && !result.cancelled && !result.deadline_expired) {
-        RecordResolveSuccessLocked();
-      }
-      FinishChainLocked();
-    }
-    return false;
-  }
 
-  // Any solve that ran (did not throw) against the current epoch's flow
-  // set yields a valid certificate — even cancelled/expired prefixes, whose
-  // leftover heap gains still upper-bound marginals wrt the prefix — and
-  // a fresh one must be active before any adoption publish samples below.
+  // Any solve that ran (did not throw) yields a valid certificate — even
+  // cancelled/expired prefixes, whose leftover heap gains still
+  // upper-bound marginals wrt the prefix — and a fresh one must be active
+  // before any adoption publish samples below.
   if (options_.quality_sampling && !threw) {
     quality_tracker_.OnCertificate(result.opt_decrement_bound);
   }
 
-  bool abnormal = false;
-  if (threw) {
-    ++stats_.resolve_failures;
-    abnormal = true;
-  } else if (result.cancelled) {
-    if (watchdog_kill) {
-      ++stats_.resolve_timeouts;  // stalled past stall_timeout
-      abnormal = true;
-    } else if (cancel->load(std::memory_order_relaxed)) {
-      ++stats_.resolves_cancelled;  // benign external cancel
-    } else {
-      ++stats_.resolve_failures;  // injected cancellation
-      abnormal = true;
-    }
+  if (threw || result.cancelled) {
+    ++stats_.resolve_failures;  // injected throw or cancellation
   } else if (result.deadline_expired) {
     ++stats_.resolve_timeouts;
-    abnormal = true;
     // Theorem 2: every greedy prefix is a valid deployment of <= k
     // middleboxes with a truthfully evaluated objective, so a feasible
     // expired prefix is adoptable as a degraded answer.
@@ -567,189 +473,54 @@ bool Engine::HandleResolveOutcomeLocked(
     ++stats_.resolves_completed;
     MaybeAdoptLocked(result, /*expired=*/false);
     RecordResolveSuccessLocked();
+    return false;
   }
 
-  if (abnormal) {
-    RecordResolveFailureLocked();
-    if (attempt < options_.max_resolve_retries && !stopping_ &&
-        mode_ != EngineMode::kPatchOnly) {
-      ++stats_.resolve_retries;
-      return true;
-    }
+  RecordResolveFailureLocked();
+  if (attempt < options_.max_resolve_retries &&
+      mode_ != EngineMode::kPatchOnly) {
+    ++stats_.resolve_retries;
+    return true;
   }
-  FinishChainLocked();
   return false;
 }
 
-IncrementalGtpOptions Engine::MakeSolveOptions(
-    const std::atomic<bool>* cancel, std::size_t budget) const {
-  IncrementalGtpOptions solve_options;
-  solve_options.max_middleboxes = budget;
-  solve_options.feasibility_aware = true;  // adoptable whenever coverable
-  solve_options.cancel = cancel;
-  solve_options.fault_injector = options_.fault_injector;
-  if (options_.solve_deadline.count() > 0) {
-    solve_options.deadline =
-        std::chrono::steady_clock::now() + options_.solve_deadline;
-  }
-  return solve_options;
-}
-
-void Engine::ScheduleResolveLocked() {
-  if (stopping_) return;
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  current_cancel_ = cancel;
-  ++stats_.resolves_started;
-  const std::uint64_t epoch = epoch_;
+void Engine::ResolveLocked() {
   // This re-solve consumes the accumulated churn signal.
   pending_churn_ = 0;
   budget_dirty_ = false;
-  const std::size_t budget = budget_k_;
-
-  if (options_.synchronous) {
-    // Solve inline against the live index; the lock is already held and
-    // nothing can mutate the index mid-solve.  Retries loop without
-    // backoff sleeps so synchronous runs stay deterministic.
-    for (std::size_t attempt = 0;; ++attempt) {
-      if (attempt > 0) ++stats_.resolves_started;
-      IncrementalGtpResult result;
-      bool threw = false;
-      IncrementalGtpOptions solve_options =
-          MakeSolveOptions(cancel.get(), budget);
-      // The lock is held, so greedy rounds record straight into the
-      // engine histogram (async attempts use a worker-local one).
-      solve_options.round_histogram = &histograms_.greedy_round_ns;
-      {
-        obs::ScopedSpan solve_span(obs::TracePhase::kResolveAttempt,
-                                   attempt);
-        solve_span.set_batch(current_batch_id_);
-        obs::ScopedHistogramTimer solve_timer(&histograms_.resolve_ns);
-        try {
-          result = SolveIncrementalGtp(index_, solve_options);
-        } catch (const faults::FaultInjectedError&) {
-          threw = true;
-        }
-      }
-      if (!HandleResolveOutcomeLocked(result, threw, epoch, cancel,
-                                      attempt)) {
-        break;
-      }
+  // The lock is held across the solve, so nothing can mutate the index
+  // mid-solve.  Retries loop without sleeping so runs stay deterministic.
+  for (std::size_t attempt = 0;; ++attempt) {
+    ++stats_.resolves_started;
+    IncrementalGtpOptions solve_options;
+    solve_options.max_middleboxes = budget_k_;
+    solve_options.feasibility_aware = true;  // adoptable whenever coverable
+    solve_options.fault_injector = options_.fault_injector;
+    solve_options.round_histogram = &histograms_.greedy_round_ns;
+    if (options_.solve_deadline.count() > 0) {
+      solve_options.deadline =
+          std::chrono::steady_clock::now() + options_.solve_deadline;
     }
-    return;
-  }
-
-  inflight_ = Inflight{true, epoch, cancel,
-                       std::chrono::steady_clock::now(), false, 0};
-  // Freeze a consistent copy for the worker; the live index keeps
-  // mutating under subsequent batches.
-  pool_->Submit([this, cancel, epoch, budget, frozen = index_]() mutable {
-    RunResolveAttempt(std::move(cancel), epoch, 0, budget,
-                      std::move(frozen));
-  });
-}
-
-void Engine::ScheduleRetryLocked(std::uint64_t epoch, std::size_t attempt) {
-  if (stopping_) return;
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  current_cancel_ = cancel;
-  ++stats_.resolves_started;
-  inflight_ = Inflight{true, epoch, cancel,
-                       std::chrono::steady_clock::now(), false, attempt};
-  const ExponentialBackoff backoff(options_.retry_backoff_initial,
-                                   options_.retry_backoff_cap);
-  const auto delay = backoff.Delay(attempt - 1);
-  pool_->Submit([this, cancel, epoch, attempt, delay,
-                 budget = budget_k_]() mutable {
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
-    std::optional<FlowCoverageIndex> frozen;
+    IncrementalGtpResult result;
+    bool threw = false;
     {
-      MutexLock lock(state_mu_);
-      if (cancel == abandoned_token_) {
-        abandoned_token_.reset();  // watchdog already counted this attempt
-        return;
+      obs::ScopedSpan solve_span(obs::TracePhase::kResolveAttempt, attempt);
+      solve_span.set_batch(current_batch_id_);
+      obs::ScopedHistogramTimer solve_timer(&histograms_.resolve_ns);
+      try {
+        result = SolveIncrementalGtp(index_, solve_options);
+      } catch (const faults::FaultInjectedError&) {
+        threw = true;
       }
-      if (stopping_ || epoch != epoch_ ||
-          cancel->load(std::memory_order_relaxed)) {
-        if (inflight_.active && inflight_.cancel == cancel) {
-          inflight_.active = false;
-        }
-        ++stats_.resolves_cancelled;  // superseded while backing off
-        return;
-      }
-      // Same epoch, so the flow set is unchanged: re-freezing the live
-      // index reads exactly the state the first attempt froze.
-      frozen.emplace(index_);
-      budget = budget_k_;
     }
-    RunResolveAttempt(std::move(cancel), epoch, attempt, budget,
-                      std::move(*frozen));
-  });
-}
-
-void Engine::RunResolveAttempt(std::shared_ptr<std::atomic<bool>> cancel,
-                               std::uint64_t epoch, std::size_t attempt,
-                               std::size_t budget,
-                               FlowCoverageIndex frozen) {
-  IncrementalGtpResult result;
-  bool threw = false;
-  // Worker-local round histogram, merged under state_mu_ below, so the
-  // solve itself never touches engine state.
-  obs::LatencyHistogram round_histogram;
-  IncrementalGtpOptions solve_options =
-      MakeSolveOptions(cancel.get(), budget);
-  solve_options.round_histogram = &round_histogram;
-  const std::uint64_t solve_start = obs::MonotonicNanos();
-  {
-    obs::ScopedSpan solve_span(obs::TracePhase::kResolveAttempt, attempt);
-    try {
-      result = SolveIncrementalGtp(frozen, solve_options);
-    } catch (const faults::FaultInjectedError&) {
-      threw = true;
-    }
-  }
-  const std::uint64_t solve_ns = obs::MonotonicNanos() - solve_start;
-  MutexLock lock(state_mu_);
-  histograms_.resolve_ns.Record(solve_ns);
-  histograms_.greedy_round_ns.Merge(round_histogram);
-  if (HandleResolveOutcomeLocked(result, threw, epoch, cancel, attempt)) {
-    ScheduleRetryLocked(epoch, attempt + 1);
-  }
-}
-
-void Engine::WatchdogLoop() {
-  MutexLock lock(state_mu_);
-  while (!stopping_) {
-    watchdog_cv_.WaitFor(state_mu_, options_.watchdog_interval);
-    if (stopping_) break;
-    if (!inflight_.active) continue;
-    const auto now = std::chrono::steady_clock::now();
-    if (now - inflight_.started < options_.stall_timeout) continue;
-    if (!inflight_.killed_by_watchdog) {
-      inflight_.killed_by_watchdog = true;
-      inflight_.cancel->store(true, std::memory_order_relaxed);
-      ++stats_.watchdog_cancels;
-      inflight_.started = now;  // grace period before declaring it lost
-    } else {
-      // Cancelled a full stall_timeout ago and still no report: the task
-      // was likely dropped outright (kPoolTask fault).  Declare it dead
-      // so the pipeline can progress; a merely-slow straggler is ignored
-      // on arrival via abandoned_token_.
-      abandoned_token_ = inflight_.cancel;
-      inflight_.active = false;
-      ++stats_.resolve_timeouts;
-      RecordResolveFailureLocked();
-      FinishChainLocked();
-    }
+    if (!HandleResolveOutcomeLocked(result, threw, attempt)) return;
   }
 }
 
 std::shared_ptr<const DeploymentSnapshot> Engine::CurrentSnapshot() const {
   MutexLock lock(snapshot_mu_);
   return snapshot_;
-}
-
-void Engine::WaitIdle() {
-  if (pool_ != nullptr) pool_->Wait();
 }
 
 EngineStats Engine::StatsLocked() const {
@@ -790,7 +561,7 @@ std::vector<Bandwidth> Engine::ProbeMarginalGains(std::size_t budget) {
   IncrementalGtpOptions solve_options;
   solve_options.max_middleboxes = budget;
   solve_options.feasibility_aware = true;
-  // No injector, deadline or cancel: the probe is an advisory
+  // No injector or deadline: the probe is an advisory
   // measurement for the budget allocator, not part of the resilience
   // surface — it must return the same curve under fault injection as
   // without, or the fleet's k split would depend on injected faults.
@@ -804,7 +575,7 @@ Bandwidth Engine::RefreshCertificate() {
   IncrementalGtpOptions solve_options;
   solve_options.max_middleboxes = budget_k_;
   solve_options.feasibility_aware = true;
-  // Like the probe: no injector, deadline or cancel — the certificate is
+  // Like the probe: no injector or deadline — the certificate is
   // a measurement, not part of the resilience surface.
   const IncrementalGtpResult result =
       SolveIncrementalGtp(index_, solve_options);

@@ -9,15 +9,19 @@
 //      greedy-covered with spare budget (the DynamicPlacer patch policy),
 //      so a snapshot published right after SubmitBatch already serves
 //      every coverable flow.
-//   3. A full re-solve (IncrementalGtp, CELF) runs asynchronously on a
-//      thread pool against a frozen copy of the index.  A newer batch
-//      cancels a stale re-solve cooperatively; a completed re-solve is
-//      adopted only under the DynamicPlacer hysteresis rule (bandwidth
-//      saved >= move_threshold per middlebox moved — or unconditionally
-//      when the patched plan is infeasible).
+//   3. When the re-solve cadence calls for it, a full re-solve
+//      (IncrementalGtp, CELF) runs inline inside the same SubmitBatch
+//      against the live index.  A completed re-solve is adopted only
+//      under the DynamicPlacer hysteresis rule (bandwidth saved >=
+//      move_threshold per middlebox moved — or unconditionally when the
+//      patched plan is infeasible).
 //
-// Fault tolerance (DESIGN.md Section 9).  The re-solve pipeline is the
-// engine's only best-effort component — the synchronous patch keeps every
+// The engine is a single-threaded state machine: it starts no threads of
+// its own.  Running engines concurrently is the shard fleet's job
+// (src/shard), which gives each engine its own worker thread.
+//
+// Fault tolerance (DESIGN.md Section 9).  The re-solve is the engine's
+// only best-effort component — the synchronous patch keeps every
 // coverable flow served no matter what — so all degradation machinery
 // wraps re-solves:
 //
@@ -26,18 +30,13 @@
 //     Theorem 2 every greedy prefix is a valid deployment of at most k
 //     middleboxes, so a feasible expired prefix may still be adopted (a
 //     degraded answer now beats a perfect answer never).
-//   * Failed / expired / injected-cancel attempts are retried with capped
-//     exponential backoff, up to max_resolve_retries per epoch.
+//   * Failed / expired / injected-cancel attempts are retried inline, up
+//     to max_resolve_retries per epoch.
 //   * Consecutive re-solve failures drive a degradation state machine
-//     NORMAL -> DEGRADED -> PATCH_ONLY.  DEGRADED keeps the in-flight
-//     re-solve alive across batches (instead of cancel-and-restart) and
-//     coalesces the deferred work into a bounded pending count; PATCH_ONLY
-//     stops re-solving except for a probe attempt every
-//     probe_interval_epochs.  Any clean completion resets the machine to
-//     NORMAL.
-//   * An optional watchdog thread cancels re-solve attempts stalled past
-//     stall_timeout, and declares attempts that never report back (lost
-//     pool tasks under fault injection) dead so the pipeline can progress.
+//     NORMAL -> DEGRADED -> PATCH_ONLY.  DEGRADED labels a failure streak
+//     and changes no scheduling; PATCH_ONLY stops re-solving except for a
+//     probe attempt every probe_interval_epochs.  Any clean completion
+//     resets the machine to NORMAL.
 //
 // Deployments are published as immutable, versioned snapshots behind
 // shared_ptr: readers on any thread grab CurrentSnapshot() and keep using
@@ -45,17 +44,16 @@
 // builds every published snapshot is validated by the src/analysis
 // invariant auditors.
 //
-// Threading contract: SubmitBatch/WaitIdle/stats/index/Checkpoint/Restore
-// must be called from one client thread (the serving loop);
-// CurrentSnapshot is safe from any thread.
+// Threading contract: SubmitBatch/index/Checkpoint/Restore must be called
+// from one client thread (the serving loop); CurrentSnapshot and the
+// readers that take state_mu_ (stats, histograms, Metrics) are safe from
+// any thread.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -69,7 +67,6 @@
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
 #include "obs/timeseries.hpp"
-#include "parallel/thread_pool.hpp"
 #include "traffic/flow.hpp"
 
 namespace tdmd::engine {
@@ -78,11 +75,10 @@ namespace tdmd::engine {
 /// type is fixed so EngineStats stays a flat block of 64-bit words (see
 /// the static_assert next to the checkpoint serializer).
 enum class EngineMode : std::uint64_t {
-  /// Healthy: every batch cancels the stale re-solve and starts a fresh
-  /// one.
+  /// Healthy: re-solves run at the resolve_churn_fraction cadence.
   kNormal = 0,
-  /// Re-solves keep failing: in-flight work is kept alive across batches
-  /// and deferred re-solve requests coalesce into a bounded pending count.
+  /// Re-solves keep failing (degrade_after_failures in a row).  A label
+  /// for the failure streak: scheduling is the same as in NORMAL.
   kDegraded = 1,
   /// Re-solves presumed useless: only the synchronous patch runs, plus a
   /// probe re-solve every probe_interval_epochs to detect recovery.
@@ -111,12 +107,10 @@ struct EngineOptions {
   /// on this to keep engines that received a stray event or two from
   /// paying a full CELF solve for it.
   double resolve_churn_fraction = 0.0;
-  /// Worker threads for async re-solves (ignored when synchronous).
-  std::size_t solver_threads = 1;
-  /// Run re-solves inline inside SubmitBatch instead of on the pool.
-  /// Deterministic; used by benches measuring per-epoch latency and by
-  /// tests.
-  bool synchronous = false;
+  /// Ignored: re-solves always run inline inside SubmitBatch.  Kept only
+  /// because the benchmark harness (perfbench/cpp/workload_engine.cpp)
+  /// still sets it.
+  bool synchronous = true;
 
   // --- quality observability ----------------------------------------------
 
@@ -133,33 +127,20 @@ struct EngineOptions {
   // --- fault tolerance ----------------------------------------------------
 
   /// Optional fault injector wired into the coverage index (site
-  /// kIndexDelta) and every re-solve attempt (site kGreedyRound).  The
-  /// kPoolTask site must be installed separately on the pool by the test
-  /// harness (the engine exposes no pool hook of its own).  Must outlive
-  /// the engine.
+  /// kIndexDelta) and every re-solve attempt (site kGreedyRound).  Must
+  /// outlive the engine.
   faults::FaultInjector* fault_injector = nullptr;
   /// Per-attempt re-solve deadline; zero means none.
   std::chrono::milliseconds solve_deadline{0};
-  /// Retries per epoch after a failed/expired first attempt.
+  /// Retries per epoch after a failed/expired first attempt.  Retries
+  /// run back to back without sleeping, keeping runs deterministic.
   std::size_t max_resolve_retries = 3;
-  /// Capped exponential backoff between retry attempts (async mode only;
-  /// synchronous retries never sleep, keeping tests deterministic).
-  std::chrono::milliseconds retry_backoff_initial{1};
-  std::chrono::milliseconds retry_backoff_cap{64};
   /// Consecutive re-solve failures before NORMAL -> DEGRADED and before
   /// DEGRADED -> PATCH_ONLY.  Must satisfy 1 <= degrade <= patch_only.
   std::uint64_t degrade_after_failures = 2;
   std::uint64_t patch_only_after_failures = 4;
   /// In PATCH_ONLY, probe with one re-solve every this many epochs.
   std::uint64_t probe_interval_epochs = 4;
-  /// DEGRADED: bound on coalesced-but-pending re-solve requests.
-  std::size_t max_pending_resolves = 1;
-  /// Watchdog poll period; zero disables the watchdog thread.
-  std::chrono::milliseconds watchdog_interval{0};
-  /// An in-flight re-solve older than this is cancelled by the watchdog;
-  /// if it still has not reported back after another stall_timeout it is
-  /// declared lost (the fault injector can drop pool tasks outright).
-  std::chrono::milliseconds stall_timeout{1000};
 };
 
 /// Immutable published deployment.  Readers hold the shared_ptr as long
@@ -221,12 +202,9 @@ struct EngineMemoryStats {
 
 /// Counter block; all values since engine construction.  Every started
 /// re-solve attempt lands in exactly one terminal bucket, so
-///   resolves_started == resolves_completed + resolves_cancelled
-///                       + resolve_failures + resolve_timeouts
-/// holds whenever no attempt is in flight (WaitIdle) — except under
-/// kPoolTask drop faults, where a lost attempt is declared dead by the
-/// watchdog (counted resolve_timeouts) and a late straggler may add a
-/// spurious cancelled tick.
+///   resolves_started == resolves_completed + resolve_failures
+///                       + resolve_timeouts
+/// holds after every SubmitBatch.
 struct EngineStats {
   std::uint64_t epochs = 0;
   std::uint64_t arrivals = 0;
@@ -245,21 +223,21 @@ struct EngineStats {
   std::uint64_t middlebox_moves = 0;
   std::uint64_t resolves_started = 0;
   std::uint64_t resolves_completed = 0;
-  /// Re-solves abandoned benignly: cancelled mid-run by a newer epoch,
-  /// completed against a flow set already stale on arrival, or shut down.
+  /// Always zero: inline re-solves are never superseded.  Kept, like
+  /// resolves_coalesced and watchdog_cancels, so the checkpoint layout
+  /// and the tdmd_engine_* metric names stay unchanged.
   std::uint64_t resolves_cancelled = 0;
   /// Attempts that threw or were cancelled by an injected fault.
   std::uint64_t resolve_failures = 0;
-  /// Attempts that hit their deadline, were stalled past stall_timeout,
-  /// or were declared lost by the watchdog.
+  /// Attempts that hit their deadline.
   std::uint64_t resolve_timeouts = 0;
   /// Retry attempts scheduled after an abnormal outcome.
   std::uint64_t resolve_retries = 0;
   /// Deadline-expired greedy prefixes adopted as degraded answers.
   std::uint64_t resolves_expired_adopted = 0;
-  /// DEGRADED-mode re-solve requests folded into an already-pending one.
+  /// Always zero (see resolves_cancelled).
   std::uint64_t resolves_coalesced = 0;
-  /// Stalled attempts cancelled by the watchdog.
+  /// Always zero (see resolves_cancelled).
   std::uint64_t watchdog_cancels = 0;
   std::uint64_t mode_transitions = 0;
   /// Epochs served while in the respective degraded mode.
@@ -285,7 +263,7 @@ struct EngineStats {
 struct EngineHistograms {
   /// Synchronous feasibility patch, one sample per epoch.
   obs::LatencyHistogram patch_ns;
-  /// One re-solve attempt's solve wall time (queueing/backoff excluded).
+  /// One re-solve attempt's solve wall time.
   obs::LatencyHistogram resolve_ns;
   /// Coverage-index churn delta (departures + arrivals), one sample per
   /// epoch.
@@ -299,9 +277,6 @@ struct EngineCheckpoint;
 class Engine {
  public:
   Engine(graph::Digraph network, EngineOptions options);
-
-  /// Cancels any in-flight re-solve, stops the watchdog, drains the pool.
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -347,7 +322,8 @@ class Engine {
 
   /// Applies one epoch of churn: departures (stale tickets are counted
   /// and ignored) then arrivals; patches feasibility; publishes a
-  /// snapshot; schedules the re-solve the current mode calls for.
+  /// snapshot; runs the re-solve the cadence and mode call for, inline,
+  /// before returning.
   BatchResult SubmitBatch(const traffic::FlowSet& arrivals,
                           const std::vector<FlowTicket>& departures)
       TDMD_EXCLUDES(state_mu_);
@@ -359,11 +335,6 @@ class Engine {
   /// Latest published snapshot (never null).  Thread-safe.
   std::shared_ptr<const DeploymentSnapshot> CurrentSnapshot() const
       TDMD_EXCLUDES(snapshot_mu_);
-
-  /// Blocks until all scheduled re-solves finished (adopted or
-  /// discarded).  Excludes state_mu_ because re-solve tasks must be able
-  /// to take the lock to finish.
-  void WaitIdle() TDMD_EXCLUDES(state_mu_);
 
   EngineStats stats() const TDMD_EXCLUDES(state_mu_);
 
@@ -449,9 +420,8 @@ class Engine {
   /// Captures the complete client-visible state: flow set with exact
   /// tickets (and the free-slot stack, so post-restore arrivals draw the
   /// same tickets), deployment, maintained objective, epoch, snapshot
-  /// version, mode and counters.  In-flight re-solve work is deliberately
-  /// not captured — it is recomputable, and a restored engine simply
-  /// schedules a fresh re-solve on its next batch.
+  /// version, mode and counters.  No re-solve is ever in flight between
+  /// client calls, so the checkpoint is the whole engine state.
   EngineCheckpoint Checkpoint() const TDMD_EXCLUDES(state_mu_);
 
   /// Rebuilds this engine from `checkpoint`.  Must be called on a freshly
@@ -463,16 +433,6 @@ class Engine {
       TDMD_EXCLUDES(state_mu_);
 
  private:
-  /// One re-solve attempt currently owned by the pool.
-  struct Inflight {
-    bool active = false;
-    std::uint64_t epoch = 0;
-    std::shared_ptr<std::atomic<bool>> cancel;
-    std::chrono::steady_clock::time_point started{};
-    bool killed_by_watchdog = false;
-    std::size_t attempt = 0;
-  };
-
   /// Greedy-covers currently unserved flows with spare budget; returns
   /// middleboxes added and refreshes maintained_feasible_.
   std::size_t PatchFeasibilityLocked() TDMD_REQUIRES(state_mu_);
@@ -487,60 +447,32 @@ class Engine {
       TDMD_REQUIRES(state_mu_);
 
   /// Classifies one finished attempt into its terminal bucket, applies
-  /// adoption / failure-streak / mode effects, and returns true when a
-  /// retry should be scheduled.
-  bool HandleResolveOutcomeLocked(
-      const IncrementalGtpResult& result, bool threw, std::uint64_t epoch,
-      const std::shared_ptr<std::atomic<bool>>& cancel, std::size_t attempt)
+  /// adoption / failure-streak / mode effects, and returns true when the
+  /// attempt should be retried.
+  bool HandleResolveOutcomeLocked(const IncrementalGtpResult& result,
+                                  bool threw, std::size_t attempt)
       TDMD_REQUIRES(state_mu_);
 
   void RecordResolveFailureLocked() TDMD_REQUIRES(state_mu_);
   void RecordResolveSuccessLocked() TDMD_REQUIRES(state_mu_);
   void TransitionLocked(EngineMode target) TDMD_REQUIRES(state_mu_);
 
-  /// Cancels the in-flight re-solve (benign: a newer epoch supersedes
-  /// it).
-  void CancelInflightLocked() TDMD_REQUIRES(state_mu_);
-
-  /// Ends a re-solve chain: drains coalesced pending requests into one
-  /// fresh re-solve when the mode allows it.
-  void FinishChainLocked() TDMD_REQUIRES(state_mu_);
-
-  /// Launches attempt 0 of the re-solve chain for the current epoch
-  /// (inline when synchronous).
-  void ScheduleResolveLocked() TDMD_REQUIRES(state_mu_);
-
-  /// Schedules retry `attempt` (>= 1) after backoff.
-  void ScheduleRetryLocked(std::uint64_t epoch, std::size_t attempt)
-      TDMD_REQUIRES(state_mu_);
+  /// Re-solves against the live index for the current epoch, retrying
+  /// abnormal attempts back to back up to max_resolve_retries.
+  void ResolveLocked() TDMD_REQUIRES(state_mu_);
 
   /// EngineStats copy with the derived fields (index delta ops, mode,
   /// failure streak) filled in.
   EngineStats StatsLocked() const TDMD_REQUIRES(state_mu_);
 
-  /// Pool-side body of one asynchronous attempt.  `budget` was captured
-  /// under state_mu_ when the attempt was scheduled.
-  void RunResolveAttempt(std::shared_ptr<std::atomic<bool>> cancel,
-                         std::uint64_t epoch, std::size_t attempt,
-                         std::size_t budget, FlowCoverageIndex frozen)
-      TDMD_EXCLUDES(state_mu_);
-
   /// True when the accumulated churn (or a budget retarget) calls for a
   /// re-solve under resolve_churn_fraction.
   bool ResolveDueLocked() const TDMD_REQUIRES(state_mu_);
-
-  /// Solver options for one attempt (deadline stamped now).  `budget` is
-  /// the live budget captured under state_mu_ at schedule time — async
-  /// attempts call this unlocked, so it rides in as a value.
-  IncrementalGtpOptions MakeSolveOptions(const std::atomic<bool>* cancel,
-                                         std::size_t budget) const;
 
   /// Runs `fn`, retrying on injected kIndexDelta faults (the injector
   /// fires before any index mutation, so a retry is safe).
   template <typename Fn>
   decltype(auto) RetryIndexDeltaLocked(Fn&& fn) TDMD_REQUIRES(state_mu_);
-
-  void WatchdogLoop() TDMD_EXCLUDES(state_mu_);
 
   EngineOptions options_;  // immutable after construction
 
@@ -569,26 +501,16 @@ class Engine {
   std::vector<FlowTicket> uncovered_ TDMD_GUARDED_BY(state_mu_);
   std::uint64_t epoch_ TDMD_GUARDED_BY(state_mu_) = 0;
   /// Fleet batch id of the in-progress SubmitBatch (0 outside a stamped
-  /// batch); MaybeAdoptLocked and the synchronous re-solve path read it
-  /// to bind their trace events to the batch that caused them.
+  /// batch); MaybeAdoptLocked and the re-solve read it to bind their
+  /// trace events to the batch that caused them.
   std::uint64_t current_batch_id_ TDMD_GUARDED_BY(state_mu_) = 0;
   /// When the in-progress SubmitBatch adopted a re-solve, the
   /// MonotonicNanos() adoption time (0 otherwise); feeds
   /// BatchResult::adopted_ns.
   std::uint64_t last_adoption_ns_ TDMD_GUARDED_BY(state_mu_) = 0;
-  std::shared_ptr<std::atomic<bool>> current_cancel_
-      TDMD_GUARDED_BY(state_mu_);
-  Inflight inflight_ TDMD_GUARDED_BY(state_mu_);
-  /// Token of an attempt the watchdog declared lost; its straggler (if
-  /// the task was slow rather than dropped) is ignored on arrival instead
-  /// of double-counted.
-  std::shared_ptr<std::atomic<bool>> abandoned_token_
-      TDMD_GUARDED_BY(state_mu_);
   EngineMode mode_ TDMD_GUARDED_BY(state_mu_) = EngineMode::kNormal;
   std::uint64_t consecutive_failures_ TDMD_GUARDED_BY(state_mu_) = 0;
   std::uint64_t epochs_since_probe_ TDMD_GUARDED_BY(state_mu_) = 0;
-  std::size_t pending_resolves_ TDMD_GUARDED_BY(state_mu_) = 0;
-  bool stopping_ TDMD_GUARDED_BY(state_mu_) = false;
   EngineStats stats_ TDMD_GUARDED_BY(state_mu_);
   EngineHistograms histograms_ TDMD_GUARDED_BY(state_mu_);
   /// Quality observability (all guarded by state_mu_).  The tracker owns
@@ -610,13 +532,6 @@ class Engine {
   mutable Mutex snapshot_mu_ TDMD_ACQUIRED_AFTER(state_mu_);
   std::shared_ptr<const DeploymentSnapshot> snapshot_
       TDMD_GUARDED_BY(snapshot_mu_);
-
-  CondVar watchdog_cv_;
-  std::thread watchdog_;
-
-  /// Declared last so workers join (and all tasks finish touching the
-  /// members above) before anything else is destroyed.
-  std::unique_ptr<parallel::ThreadPool> pool_;
 };
 
 }  // namespace tdmd::engine

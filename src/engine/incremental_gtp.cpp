@@ -221,11 +221,6 @@ IncrementalGtpResult SolveIncrementalGtp(
   for (std::size_t round = 1; result.deployment.size() < budget; ++round) {
     obs::ScopedSpan round_span(obs::TracePhase::kGtpRound, round);
     obs::ScopedHistogramTimer round_timer(options.round_histogram);
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      result.cancelled = true;
-      break;
-    }
     if (has_deadline &&
         std::chrono::steady_clock::now() >= options.deadline) {
       result.deadline_expired = true;

@@ -14,12 +14,10 @@
 //     deterministic tie-break (Theorem 2 makes the laziness safe; the
 //     property tests in tests/engine_gtp_test.cpp pin the equivalence on
 //     random trees and general digraphs).
-//   * Cooperative cancellation: the engine's re-solve pipeline passes an
-//     atomic flag that a newer epoch sets; the solver checks it once per
-//     greedy round and returns a partial, `cancelled` result.
+//   * A per-solve deadline, checked once per greedy round: an expired
+//     solve returns its greedy prefix, which the engine may adopt.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <vector>
@@ -42,18 +40,15 @@ struct IncrementalGtpOptions {
   /// GTP's feasibility_aware).  Those rounds are full scans; once every
   /// flow is served the solver drops back to the lazy CELF heap, whose
   /// round-0 gains are still valid upper bounds by submodularity.  The
-  /// engine's re-solve pipeline enables this so a completed re-solve is
-  /// adoptable (feasible) whenever coverage is possible at all.
+  /// engine's re-solves enable this so a completed re-solve is adoptable
+  /// (feasible) whenever coverage is possible at all.
   bool feasibility_aware = false;
-  /// Checked at every greedy round; when it reads true the solver stops
-  /// and marks the result cancelled.  May be null.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Absolute deadline checked once per greedy round (after the cancel
-  /// check, before fault injection).  A default-constructed time_point
-  /// means "no deadline".  An expired solve stops and returns the greedy
-  /// prefix built so far with `deadline_expired` set — still a valid
-  /// deployment of at most k middleboxes by Theorem 2 (every greedy
-  /// prefix is), so the engine may adopt it as a degraded answer.
+  /// Absolute deadline checked once per greedy round (before fault
+  /// injection).  A default-constructed time_point means "no deadline".
+  /// An expired solve stops and returns the greedy prefix built so far
+  /// with `deadline_expired` set — still a valid deployment of at most k
+  /// middleboxes by Theorem 2 (every greedy prefix is), so the engine may
+  /// adopt it as a degraded answer.
   std::chrono::steady_clock::time_point deadline{};
   /// When set, fired (site kGreedyRound) once per greedy round.  An
   /// injected throw propagates out of the solve; an injected cancel marks
@@ -62,8 +57,8 @@ struct IncrementalGtpOptions {
   faults::FaultInjector* fault_injector = nullptr;
   /// When non-null, every greedy round's duration (nanoseconds, including
   /// rounds that end early on cancel/deadline) is recorded here.  The
-  /// histogram is caller-owned and not synchronized — async re-solves pass
-  /// a worker-local histogram and merge it under the engine lock.
+  /// histogram is caller-owned and not synchronized; the engine passes
+  /// its own, guarded by the engine lock it holds across the solve.
   obs::LatencyHistogram* round_histogram = nullptr;
 };
 
@@ -71,8 +66,9 @@ struct IncrementalGtpResult {
   core::Deployment deployment;
   Bandwidth bandwidth = 0.0;
   bool feasible = false;
-  /// True if the solve was abandoned via the cancel flag; the deployment
-  /// is a valid prefix of the full greedy run but must not be adopted.
+  /// True if an injected cancellation (site kGreedyRound) stopped the
+  /// solve; the deployment is a valid prefix of the full greedy run but
+  /// must not be adopted.
   bool cancelled = false;
   /// True if the solve stopped because options.deadline passed.  Unlike
   /// cancellation the prefix is a candidate answer: the engine may adopt

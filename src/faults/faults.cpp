@@ -12,7 +12,6 @@ namespace {
 /// Distinct odd multipliers decorrelate the per-site hash streams; the
 /// constants are the SplitMix64/PCG mixing multipliers.
 constexpr std::uint64_t kSiteSalt[kNumFaultSites] = {
-    0x9E3779B97F4A7C15ULL,
     0xBF58476D1CE4E5B9ULL,
     0x94D049BB133111EBULL,
     0xD6E8FEB86659FD93ULL,
@@ -33,8 +32,6 @@ double UniformDraw(std::uint64_t seed, FaultSite site,
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
-    case FaultSite::kPoolTask:
-      return "pool-task";
     case FaultSite::kIndexDelta:
       return "index-delta";
     case FaultSite::kGreedyRound:

@@ -1,8 +1,8 @@
 // Seeded, deterministic fault injection for the serving layer.
 //
 // A FaultInjector is shared by every hook site the robustness tests care
-// about — parallel::ThreadPool task execution, FlowCoverageIndex delta
-// application, and each SolveIncrementalGtp greedy round — and decides,
+// about — FlowCoverageIndex delta application, each SolveIncrementalGtp
+// greedy round, the shard workers and the checkpoint writer — and decides,
 // per visit, whether to inject a fault and which kind:
 //
 //   * kThrow  — raise FaultInjectedError (an injected task exception),
@@ -12,8 +12,8 @@
 // Decisions are a pure function of (seed, site, visit ordinal): the n-th
 // visit to a site injects the same fault under the same seed in every run,
 // regardless of wall-clock timing.  Ordinals are handed out by per-site
-// atomic counters, so under a single-threaded (synchronous-engine) replay
-// the whole fault *sequence* is reproducible bit for bit; under concurrency
+// atomic counters, so under a single-threaded (one-engine) replay the
+// whole fault *sequence* is reproducible bit for bit; under concurrency
 // the decision sequence per site is still identical, only the task that
 // draws a given ordinal may differ.  Every injected fault is appended to an
 // event log that tests compare across runs.
@@ -37,24 +37,22 @@ namespace tdmd::faults {
 
 /// Hook sites threaded through the serving stack.
 enum class FaultSite : int {
-  /// parallel::ThreadPool task execution (and the engine's re-solve task).
-  kPoolTask = 0,
   /// FlowCoverageIndex::AddFlow / RemoveFlow, before any mutation.
-  kIndexDelta = 1,
+  kIndexDelta = 0,
   /// Each SolveIncrementalGtp greedy round.
-  kGreedyRound = 2,
+  kGreedyRound = 1,
   /// A shard worker executing a routed command (kThrow models a worker
   /// abort that destroys the shard's engine mid-batch).
-  kShardWorker = 3,
+  kShardWorker = 2,
   /// A shard worker draining its command queue (kDelay models a stalled
   /// consumer; the coordinator's stall detector watches for it).
-  kQueueDrain = 4,
+  kQueueDrain = 3,
   /// io::AtomicFileWriter mid-payload (kThrow models a process crash
   /// between opening the temp file and the atomic rename — the target
   /// checkpoint must be left intact).
-  kCheckpointWrite = 5,
+  kCheckpointWrite = 4,
 };
-inline constexpr std::size_t kNumFaultSites = 6;
+inline constexpr std::size_t kNumFaultSites = 5;
 
 const char* FaultSiteName(FaultSite site);
 
@@ -99,7 +97,7 @@ struct FaultSpec {
 
 /// One injected fault, as recorded in the replay log.
 struct FaultEvent {
-  FaultSite site = FaultSite::kPoolTask;
+  FaultSite site = FaultSite::kIndexDelta;
   FaultKind kind = FaultKind::kNone;
   /// 0-based visit ordinal at the site when the fault fired.
   std::uint64_t ordinal = 0;

@@ -116,9 +116,8 @@ struct EngineCheckpointWriteOptions {
   /// the default.
   bool include_histograms = true;
   /// The quality section is likewise optional.  Quality state is
-  /// deterministic under synchronous replay, but async runs sample on
-  /// adoption timing, and byte-comparisons against records written before
-  /// the section existed need it off.
+  /// deterministic under replay, but byte-comparisons against records
+  /// written before the section existed need it off.
   bool include_quality = true;
 };
 

@@ -13,9 +13,9 @@
 // Lifecycle contract: the tracer must outlive every thread that may emit
 // into it.  Install with InstallTracer(&tracer), and before destroying the
 // tracer call InstallTracer(nullptr) and quiesce the instrumented threads
-// (e.g. Engine::WaitIdle + engine destruction).  ScopedSpan captures the
-// installed tracer at construction, so a span that straddles an uninstall
-// still writes into the tracer it started with.
+// (e.g. join a thread pool's workers, or destroy a shard fleet).
+// ScopedSpan captures the installed tracer at construction, so a span that
+// straddles an uninstall still writes into the tracer it started with.
 
 #include <atomic>
 #include <cstddef>

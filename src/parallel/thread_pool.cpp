@@ -44,22 +44,9 @@ void ThreadPool::Wait() {
                  [this]() TDMD_REQUIRES(mutex_) { return in_flight_ == 0; });
 }
 
-ThreadPool::PoolStats ThreadPool::stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
-}
-
-void ThreadPool::SetTaskHook(std::function<void()> hook) {
-  MutexLock lock(mutex_);
-  task_hook_ = hook ? std::make_shared<const std::function<void()>>(
-                          std::move(hook))
-                    : nullptr;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;
-    std::shared_ptr<const std::function<void()>> hook;
     {
       MutexLock lock(mutex_);
       work_available_.Wait(
@@ -74,20 +61,8 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop();
-      hook = task_hook_;
     }
-    bool dropped = false;
-    if (hook != nullptr) {
-      try {
-        (*hook)();
-      } catch (...) {
-        // A throwing hook models a lost task: destroying the unrun
-        // packaged_task makes its future report broken_promise.
-        dropped = true;
-        task.fn = nullptr;
-      }
-    }
-    if (!dropped) {
+    {
       // Span arg: how long the task sat in the queue (0 when the tracer
       // was off at enqueue time).
       obs::ScopedSpan run_span(
@@ -97,7 +72,6 @@ void ThreadPool::WorkerLoop() {
     }
     {
       MutexLock lock(mutex_);
-      ++(dropped ? stats_.tasks_dropped : stats_.tasks_executed);
       if (--in_flight_ == 0) {
         all_idle_.NotifyAll();
       }

@@ -55,21 +55,6 @@ class ThreadPool {
   /// Blocks until all currently queued and running tasks finish.
   void Wait() TDMD_EXCLUDES(mutex_);
 
-  /// Counters for the fault-tolerance layer: how many tasks ran, and how
-  /// many were dropped because the task hook threw.
-  struct PoolStats {
-    std::uint64_t tasks_executed = 0;
-    std::uint64_t tasks_dropped = 0;
-  };
-  PoolStats stats() const TDMD_EXCLUDES(mutex_);
-
-  /// Installs a hook invoked by the worker immediately before each task.
-  /// A throwing hook *drops* the task (it never runs; its future reports
-  /// broken_promise) and bumps tasks_dropped — the fault-injection layer
-  /// uses this to model lost pool tasks, and a sleeping hook to model
-  /// scheduler stalls.  Pass nullptr to uninstall.  Thread-safe.
-  void SetTaskHook(std::function<void()> hook) TDMD_EXCLUDES(mutex_);
-
  private:
   // Tasks carry their enqueue timestamp when a tracer is installed, so the
   // pool-task-run span can report queue wait time as its arg.
@@ -87,15 +72,12 @@ class ThreadPool {
   }
 
   std::vector<std::thread> workers_;  // written only by the constructor
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar work_available_;
   CondVar all_idle_;
   std::queue<QueuedTask> queue_ TDMD_GUARDED_BY(mutex_);
   std::size_t in_flight_ TDMD_GUARDED_BY(mutex_) = 0;  // queued + executing
   bool shutting_down_ TDMD_GUARDED_BY(mutex_) = false;
-  std::shared_ptr<const std::function<void()>> task_hook_
-      TDMD_GUARDED_BY(mutex_);
-  PoolStats stats_ TDMD_GUARDED_BY(mutex_);
 };
 
 /// Runs fn(i) for i in [begin, end), partitioned into contiguous chunks

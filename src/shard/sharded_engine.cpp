@@ -75,9 +75,6 @@ ShardedEngine::ShardedEngine(graph::Digraph network,
     }
     worker->base_options = options_.engine;
     worker->base_options.k = shard_budget_[s];
-    // The fleet's parallelism axis is shards; see ShardedEngineOptions.
-    worker->base_options.synchronous = true;
-    worker->base_options.solver_threads = 1;
     worker->base_options.fault_injector = worker->injector.get();
     worker->engine =
         std::make_unique<engine::Engine>(network_, worker->base_options);

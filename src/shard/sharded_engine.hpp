@@ -52,9 +52,9 @@
 // stall_timeout), quarantines it — routed commands are discarded but
 // recorded — and respawns the engine from the last good per-shard
 // checkpoint, replaying everything since from a bounded per-shard redo
-// ring.  Replay correctness rests on engine determinism: a synchronous
-// engine restored from a checkpoint and fed the same command sequence
-// issues the same tickets and reaches byte-identical state.  Bounded
+// ring.  Replay correctness rests on engine determinism: an engine
+// restored from a checkpoint and fed the same command sequence issues the
+// same tickets and reaches byte-identical state.  Bounded
 // queues add the overload posture: past queue_depth the coordinator
 // blocks with a deadline, then sheds the batch to deferred-re-solve
 // admission (arrivals applied, CELF deferred), metering the shed rate
@@ -100,9 +100,8 @@ struct ShardedEngineOptions {
   /// keeps at least one box).  Must be >= partition.num_shards.
   std::size_t total_budget = 8;
   /// Template for every per-shard engine.  `k` is overridden by the
-  /// fleet's budget split and `synchronous` is forced on: the fleet's
-  /// parallelism axis is shards, and per-shard re-solve pools would
-  /// oversubscribe the machine while destroying replay determinism.
+  /// fleet's budget split.  The fleet's parallelism axis is shards: each
+  /// engine re-solves inline on its worker thread.
   engine::EngineOptions engine;
   /// Reallocate the budget split every this many epochs; 0 disables.
   std::uint64_t realloc_interval_epochs = 16;

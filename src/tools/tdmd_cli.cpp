@@ -16,7 +16,7 @@
 //       prints per-arc occupancy.
 //
 //   tdmd_cli serve-trace --instance=instance.tdmd --k=8 --epochs=20
-//            [--seed=1] [--async --threads=2]
+//            [--seed=1]
 //            [--fault-seed=7 --fault-throw-p=0.1 --deadline-ms=50]
 //            [--checkpoint-every=5 --checkpoint-out=engine.ckpt]
 //            [--restore=engine.ckpt]
@@ -666,10 +666,6 @@ int ServeTrace(int argc, char** argv) {
       "resolve-churn-fraction", 0.0,
       "defer full re-solves until pending churn exceeds this fraction of "
       "active flows (0 = re-solve every epoch)");
-  const auto* async = parser.AddBool(
-      "async", false, "run re-solves on a worker pool instead of inline");
-  const auto* threads =
-      parser.AddInt("threads", 2, "worker threads (with --async)");
   const auto* seed = parser.AddInt(
       "seed", 1,
       "rng seed; the churn trace derives deterministically from it via "
@@ -789,12 +785,9 @@ int ServeTrace(int argc, char** argv) {
   options.lambda = inst.lambda();
   options.move_threshold = *move_threshold;
   options.resolve_churn_fraction = *resolve_churn_fraction;
-  options.synchronous = !*async;
-  options.solver_threads = static_cast<std::size_t>(*threads);
   options.solve_deadline = std::chrono::milliseconds(*deadline_ms);
 
-  // The injector must outlive the engine (the engine keeps a raw pointer
-  // and its worker pool hook calls into it during teardown).
+  // The injector must outlive the engine (the engine keeps a raw pointer).
   std::optional<faults::FaultInjector> injector;
   if (*fault_seed != 0) {
     faults::FaultSpec spec;
@@ -809,9 +802,8 @@ int ServeTrace(int argc, char** argv) {
     injector.emplace(spec);
     options.fault_injector = &*injector;
   }
-  // Declared before the engine so the engine's worker threads are joined
-  // before the tracer's/profiler's rings go away (the obs lifecycle
-  // contract).
+  // Declared before the engine so the engine is destroyed before the
+  // tracer's/profiler's rings go away (the obs lifecycle contract).
   std::optional<obs::Tracer> tracer;
   if (!trace_out->empty()) {
     tracer.emplace();
@@ -911,11 +903,9 @@ int ServeTrace(int argc, char** argv) {
     ++epochs_served;
     if (*checkpoint_every > 0 &&
         epochs_served % static_cast<std::size_t>(*checkpoint_every) == 0) {
-      eng.WaitIdle();  // checkpoint the settled state, not a mid-solve one
       write_checkpoint();
     }
   }
-  eng.WaitIdle();
   // Stop sampling at the end of the served epochs: the profile should
   // answer "where did the serve loop's CPU go", not measure the report
   // writers below.  FinishProfile's own uninstall is then a no-op.
@@ -937,11 +927,10 @@ int ServeTrace(int argc, char** argv) {
   std::printf("patches    : %llu epochs patched, %llu middleboxes added\n",
               static_cast<unsigned long long>(stats.patches),
               static_cast<unsigned long long>(stats.patch_boxes));
-  std::printf("re-solves  : %llu started, %llu completed, %llu cancelled, "
+  std::printf("re-solves  : %llu started, %llu completed, "
               "%llu adopted (%llu middlebox moves)\n",
               static_cast<unsigned long long>(stats.resolves_started),
               static_cast<unsigned long long>(stats.resolves_completed),
-              static_cast<unsigned long long>(stats.resolves_cancelled),
               static_cast<unsigned long long>(stats.adoptions),
               static_cast<unsigned long long>(stats.middlebox_moves));
   std::printf("celf       : %llu gain re-evals, %llu re-evals saved, "
@@ -956,16 +945,13 @@ int ServeTrace(int argc, char** argv) {
               static_cast<unsigned long long>(stats.degraded_epochs),
               static_cast<unsigned long long>(stats.patch_only_epochs));
   std::printf("faults     : %llu index retries, %llu resolve failures, "
-              "%llu timeouts, %llu retries, %llu expired adopted, "
-              "%llu coalesced, %llu watchdog cancels\n",
+              "%llu timeouts, %llu retries, %llu expired adopted\n",
               static_cast<unsigned long long>(stats.index_fault_retries),
               static_cast<unsigned long long>(stats.resolve_failures),
               static_cast<unsigned long long>(stats.resolve_timeouts),
               static_cast<unsigned long long>(stats.resolve_retries),
               static_cast<unsigned long long>(
-                  stats.resolves_expired_adopted),
-              static_cast<unsigned long long>(stats.resolves_coalesced),
-              static_cast<unsigned long long>(stats.watchdog_cancels));
+                  stats.resolves_expired_adopted));
   if (*checkpoint_every > 0) write_checkpoint();
 
   if (!quality_out->empty()) {

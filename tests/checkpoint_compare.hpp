@@ -18,7 +18,7 @@ namespace tdmd::test {
 
 /// Write options for deterministic byte-comparisons: histograms excluded
 /// (wall-clock), everything else — including the quality section, which is
-/// deterministic under synchronous replay — kept.
+/// deterministic under replay — kept.
 inline io::EngineCheckpointWriteOptions DeterministicWriteOptions() {
   io::EngineCheckpointWriteOptions options;
   options.include_histograms = false;

@@ -111,7 +111,6 @@ std::string BuildEngineFile(const std::string& path) {
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     eng.SubmitBatch(epoch.arrivals, {});
   }
-  eng.WaitIdle();
   EXPECT_TRUE(io::WriteEngineCheckpointFile(path, eng.Checkpoint()));
   return Slurp(path);
 }

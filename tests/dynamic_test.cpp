@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/gtp.hpp"
 #include "core/objective.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
@@ -135,25 +134,6 @@ TEST(DynamicPlacerTest, ThresholdTradesMovesForBandwidth) {
   const auto [lazy_moves, lazy_bw] = run(1e9);
   EXPECT_LE(lazy_moves, eager_moves);
   EXPECT_GE(lazy_bw + 1e-9, eager_bw);
-}
-
-TEST(DynamicPlacerTest, CustomSolverIsUsed) {
-  graph::Digraph network = TestNetwork(12);
-  DynamicOptions options = DefaultOptions();
-  int solver_calls = 0;
-  options.solver = [&solver_calls](const Instance& instance) {
-    ++solver_calls;
-    GtpOptions gtp;
-    gtp.max_middleboxes = 6;
-    gtp.feasibility_aware = true;
-    return Gtp(instance, gtp);
-  };
-  DynamicPlacer placer(network, options);
-  Rng rng(13);
-  ChurnModel churn;
-  placer.Step(DrawArrivals(network, churn, rng), {});
-  placer.Step(DrawArrivals(network, churn, rng), {});
-  EXPECT_EQ(solver_calls, 2);
 }
 
 TEST(ChurnModelTest, ArrivalsAreValidFlows) {

@@ -72,7 +72,6 @@ using test::SerializeDeterministic;
 EngineOptions SyncOptions() {
   EngineOptions options;
   options.k = 5;
-  options.synchronous = true;
   return options;
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -223,22 +222,6 @@ TEST(IncrementalGtpTest, LazyHeapSavesReevaluations) {
   const core::PlacementResult plain =
       Gtp(index.BuildInstance(), batch_options);
   EXPECT_LT(result.oracle_calls, plain.oracle_calls);
-}
-
-TEST(IncrementalGtpTest, CancellationStopsTheSolve) {
-  Rng rng(7);
-  graph::Digraph network = topology::Waxman(30, 0.6, 0.5, rng);
-  FlowCoverageIndex index(network, 0.5);
-  for (const traffic::Flow& flow : RandomGeneralFlows(network, 50, rng)) {
-    index.AddFlow(flow);
-  }
-  std::atomic<bool> cancel{true};  // cancelled before the first round
-  IncrementalGtpOptions options;
-  options.max_middleboxes = 8;
-  options.cancel = &cancel;
-  const IncrementalGtpResult result = SolveIncrementalGtp(index, options);
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_TRUE(result.deployment.empty());
 }
 
 }  // namespace

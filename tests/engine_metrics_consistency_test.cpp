@@ -64,8 +64,6 @@ TEST(EngineMetricsConsistency, SingleExpositionInvariantsUnderChurn) {
 
   EngineOptions options;
   options.k = 4;
-  options.synchronous = false;
-  options.solver_threads = 2;
   Engine eng(network, options);
 
   std::atomic<bool> stop{false};
@@ -79,6 +77,12 @@ TEST(EngineMetricsConsistency, SingleExpositionInvariantsUnderChurn) {
       std::this_thread::yield();
     }
   });
+
+  // Churn starts only once the reader is running, so the expositions
+  // race SubmitBatch instead of finishing after it.
+  while (expositions.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   Rng trace_rng(2025);
   const ChurnTrace trace = BuildChurnTrace(network, churn, 24, 0, trace_rng);
@@ -96,7 +100,6 @@ TEST(EngineMetricsConsistency, SingleExpositionInvariantsUnderChurn) {
     active.insert(active.end(), result.tickets.begin(),
                   result.tickets.end());
   }
-  eng.WaitIdle();
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_GT(expositions.load(std::memory_order_relaxed), 0u);

@@ -82,7 +82,6 @@ void ReplayAndValidate(const graph::Digraph& network,
   EngineOptions options;
   options.k = k;
   options.lambda = lambda;
-  options.synchronous = true;
   Engine engine(network, options);
 
   std::vector<FlowTicket> tickets;
@@ -176,7 +175,6 @@ TEST(EngineQualityTest, CusumFiresInPatchOnlyAndClearsOnRecovery) {
   EngineOptions options;
   options.k = 3;
   options.lambda = 0.5;
-  options.synchronous = true;
   options.fault_injector = &injector;
   options.max_resolve_retries = 0;
   options.degrade_after_failures = 1;
@@ -225,7 +223,6 @@ TEST(EngineQualityTest, AttributionCoversDeployedVertices) {
   const graph::Digraph network = GeneralNetwork(11, 12);
   EngineOptions options;
   options.k = 3;
-  options.synchronous = true;
   Engine engine(network, options);
   const traffic::FlowSet prefill = Prefill(network, 21, 24);
   engine.SubmitBatch(prefill, {});
@@ -246,7 +243,6 @@ TEST(EngineQualityTest, QualityGaugesExposedThroughMetrics) {
   const graph::Digraph network = GeneralNetwork(5, 10);
   EngineOptions options;
   options.k = 2;
-  options.synchronous = true;
   Engine engine(network, options);
   const traffic::FlowSet prefill = Prefill(network, 31, 12);
   engine.SubmitBatch(prefill, {});
@@ -264,7 +260,6 @@ TEST(EngineQualityTest, SamplingDisabledKeepsTimelineEmpty) {
   const graph::Digraph network = GeneralNetwork(5, 10);
   EngineOptions options;
   options.k = 2;
-  options.synchronous = true;
   options.quality_sampling = false;
   Engine engine(network, options);
   const traffic::FlowSet prefill = Prefill(network, 31, 12);

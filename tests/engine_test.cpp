@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -59,7 +61,6 @@ ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
 TEST(EngineTest, PublishesImmutableVersionedSnapshots) {
   EngineOptions options;
   options.k = 4;
-  options.synchronous = true;
   Engine engine(TestNetwork(11), options);
 
   const auto initial = engine.CurrentSnapshot();
@@ -88,7 +89,6 @@ TEST(EngineTest, PublishesImmutableVersionedSnapshots) {
 TEST(EngineTest, SnapshotsStayFeasibleUnderChurn) {
   EngineOptions options;
   options.k = 6;
-  options.synchronous = true;
   Engine engine(TestNetwork(12), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 12, 22);
@@ -104,7 +104,6 @@ TEST(EngineTest, SnapshotsStayFeasibleUnderChurn) {
 TEST(EngineTest, HysteresisFreezesDeploymentAtHugeThreshold) {
   EngineOptions options;
   options.k = 6;
-  options.synchronous = true;
   options.move_threshold = 1e9;  // no saving can ever justify a move
   Engine engine(TestNetwork(13), options);
 
@@ -121,7 +120,6 @@ TEST(EngineTest, HysteresisFreezesDeploymentAtHugeThreshold) {
 TEST(EngineTest, ZeroThresholdTracksBatchGtpQuality) {
   EngineOptions options;
   options.k = 5;
-  options.synchronous = true;
   options.move_threshold = 0.0;
   Engine engine(TestNetwork(14), options);
 
@@ -143,40 +141,27 @@ TEST(EngineTest, ZeroThresholdTracksBatchGtpQuality) {
   EXPECT_GT(engine.stats().adoptions, 0u);
 }
 
-TEST(EngineTest, AsyncPipelineDrainsAndBalancesCounters) {
-  EngineOptions options;
-  options.k = 5;
-  options.synchronous = false;
-  options.solver_threads = 2;
-  Engine engine(TestNetwork(15), options);
+std::ptrdiff_t CountProcessThreads() {
+  return std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{});
+}
 
-  // Rapid-fire batches so newer epochs race in-flight re-solves; some get
-  // cancelled mid-run, some complete against a stale epoch and are
-  // discarded, some land and are adopted.
-  const ChurnTrace trace = MakeTrace(engine.index().network(), 20, 25,
-                                     /*arrival_count=*/12,
-                                     /*departure_probability=*/0.3);
+// The engine is a single-threaded state machine: constructing it with
+// default options and serving batches, re-solves included, starts no
+// thread.  Concurrency is the shard fleet's job.
+TEST(EngineTest, SpawnsNoThreads) {
+  const std::ptrdiff_t before = CountProcessThreads();
+  Engine engine(TestNetwork(15), EngineOptions{});
+  const ChurnTrace trace = MakeTrace(engine.index().network(), 3, 25);
   Replay(engine, trace, [](const Engine::BatchResult&) {});
-  engine.WaitIdle();
-
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.resolves_started, trace.epochs.size());
-  // Every started re-solve is accounted for exactly once.
-  EXPECT_EQ(stats.resolves_started,
-            stats.resolves_completed + stats.resolves_cancelled);
-  EXPECT_GT(stats.resolves_completed, 0u);  // at least the last one lands
-  EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
-
-  // A snapshot held across WaitIdle stays self-consistent even if a
-  // late-landing re-solve published newer versions.
-  const auto final_snapshot = engine.CurrentSnapshot();
-  EXPECT_LE(final_snapshot->deployment.size(), options.k);
+  EXPECT_EQ(engine.stats().resolves_completed, trace.epochs.size());
+  EXPECT_EQ(CountProcessThreads(), before);
 }
 
 TEST(EngineTest, DepartingEveryFlowReturnsToEmptyFeasibility) {
   EngineOptions options;
   options.k = 3;
-  options.synchronous = true;
   Engine engine(TestNetwork(16), options);
 
   Rng rng(30);
@@ -204,7 +189,6 @@ TEST(EngineTest, DepartingEveryFlowReturnsToEmptyFeasibility) {
 TEST(EngineTest, DuplicateDeparturesAreCountedNoOps) {
   EngineOptions options;
   options.k = 4;
-  options.synchronous = true;
   Engine engine(TestNetwork(18), options);
 
   Rng rng(31);
@@ -244,7 +228,6 @@ TEST(EngineTest, DuplicateDeparturesAreCountedNoOps) {
 TEST(EngineAuditTest, EveryPublishedSnapshotPassesAudit) {
   EngineOptions options;
   options.k = 6;
-  options.synchronous = true;
   Engine engine(TestNetwork(17), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 20, 26);

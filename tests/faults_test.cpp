@@ -19,8 +19,8 @@ FaultSpec ThrowHeavySpec(std::uint64_t seed) {
 TEST(FaultsTest, DecideIsAPureFunctionOfSeedSiteOrdinal) {
   const FaultSpec spec = ThrowHeavySpec(42);
   for (std::uint64_t ordinal = 0; ordinal < 200; ++ordinal) {
-    for (FaultSite site : {FaultSite::kPoolTask, FaultSite::kIndexDelta,
-                           FaultSite::kGreedyRound}) {
+    for (FaultSite site : {FaultSite::kIndexDelta, FaultSite::kGreedyRound,
+                           FaultSite::kShardWorker}) {
       EXPECT_EQ(FaultInjector::Decide(spec, site, ordinal),
                 FaultInjector::Decide(spec, site, ordinal));
     }
@@ -93,7 +93,7 @@ TEST(FaultsTest, DisarmedVisitsConsumeNoOrdinals) {
   FaultInjector reference(spec);
   for (int i = 0; i < 50; ++i) {
     try {
-      reference.MaybeInject(FaultSite::kPoolTask);
+      reference.MaybeInject(FaultSite::kShardWorker);
     } catch (const FaultInjectedError&) {
     }
   }
@@ -101,18 +101,18 @@ TEST(FaultsTest, DisarmedVisitsConsumeNoOrdinals) {
   FaultInjector windowed(spec);
   for (int i = 0; i < 25; ++i) {
     try {
-      windowed.MaybeInject(FaultSite::kPoolTask);
+      windowed.MaybeInject(FaultSite::kShardWorker);
     } catch (const FaultInjectedError&) {
     }
   }
   windowed.Disarm();
   for (int i = 0; i < 40; ++i) {
-    EXPECT_FALSE(windowed.MaybeInject(FaultSite::kPoolTask));
+    EXPECT_FALSE(windowed.MaybeInject(FaultSite::kShardWorker));
   }
   windowed.Arm();
   for (int i = 0; i < 25; ++i) {
     try {
-      windowed.MaybeInject(FaultSite::kPoolTask);
+      windowed.MaybeInject(FaultSite::kShardWorker);
     } catch (const FaultInjectedError&) {
     }
   }
@@ -121,9 +121,9 @@ TEST(FaultsTest, DisarmedVisitsConsumeNoOrdinals) {
 }
 
 TEST(FaultsTest, SiteNamesAreStable) {
-  EXPECT_STREQ(FaultSiteName(FaultSite::kPoolTask), "pool-task");
   EXPECT_STREQ(FaultSiteName(FaultSite::kIndexDelta), "index-delta");
   EXPECT_STREQ(FaultSiteName(FaultSite::kGreedyRound), "greedy-round");
+  EXPECT_STREQ(FaultSiteName(FaultSite::kShardWorker), "shard-worker");
   EXPECT_STREQ(FaultKindName(FaultKind::kThrow), "throw");
   EXPECT_STREQ(FaultKindName(FaultKind::kDelay), "delay");
   EXPECT_STREQ(FaultKindName(FaultKind::kCancel), "cancel");

@@ -154,7 +154,6 @@ TEST(ObsMemFootprint, EngineExposesMemoryBuildInfoAndProfilerGauges) {
       test::MakeRandomGeneralCase(40, 0.5, 300, rng);
   EngineOptions options;
   options.k = 6;
-  options.synchronous = true;
   Engine eng(instance.network(), options);
   (void)eng.SubmitBatch(instance.flows(), {});
 

@@ -1,5 +1,5 @@
 // TSan-targeted stress: reader threads hammer Engine::Metrics /
-// DumpMetrics / QualityTimeline while the async engine churns with a
+// DumpMetrics / QualityTimeline while the engine churns with a
 // tracer installed (Metrics also reads the tracer's per-ring drop
 // counters, so the exposition path races against ring writers unless the
 // locking is right).  Plus deterministic coverage for
@@ -40,8 +40,6 @@ TEST(ObsMetricsStress, ConcurrentMetricsReadsDuringChurn) {
     {
       engine::EngineOptions options;
       options.k = 4;
-      options.synchronous = false;
-      options.solver_threads = 2;
       engine::Engine eng(network, options);
 
       std::atomic<bool> stop{false};
@@ -66,6 +64,10 @@ TEST(ObsMetricsStress, ConcurrentMetricsReadsDuringChurn) {
         }
       });
 
+      // Churn starts only once a reader is running, so the scrapes race
+      // SubmitBatch instead of finishing after it.
+      while (reads.load() == 0) std::this_thread::yield();
+
       Rng trace_rng(102 + static_cast<std::uint64_t>(iteration));
       const engine::ChurnTrace trace =
           engine::BuildChurnTrace(network, churn, 12, 0, trace_rng);
@@ -83,7 +85,6 @@ TEST(ObsMetricsStress, ConcurrentMetricsReadsDuringChurn) {
         active.insert(active.end(), result.tickets.begin(),
                       result.tickets.end());
       }
-      eng.WaitIdle();
 
       // The final dump, taken while the tracer is still installed, must
       // carry both the quality gauges and the trace drop counter.

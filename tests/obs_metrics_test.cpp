@@ -67,7 +67,6 @@ TEST(ObsMetricsTest, EngineMetricsExposeEveryCounterAndHistogram) {
   const graph::Digraph network = topology::Waxman(16, 0.5, 0.4, rng);
   engine::EngineOptions options;
   options.k = 3;
-  options.synchronous = true;
   engine::Engine eng(network, options);
   core::ChurnModel churn;
   churn.arrival_count = 8;

@@ -1,10 +1,9 @@
-// TSan-targeted stress: pool workers and the client thread emit trace
-// events while a separate thread drains the tracer, across engine
-// churn, checkpoint capture, and engine shutdown.  The CI tsan job runs
-// this suite (with EngineShutdownStress) to certify the tracer's
-// lock-light rings: every drain must be well-formed — timestamps
-// monotone after the (start_ns, tid) sort, dense thread ids — with no
-// data-race reports.
+// TSan-targeted stress: the engine's client thread emits trace events
+// while a separate thread drains the tracer, across engine churn,
+// checkpoint capture, and engine shutdown.  The CI tsan job runs this
+// suite (with ObsMetricsStress) to certify the tracer's lock-light
+// rings: every drain must be well-formed — timestamps monotone after the
+// (start_ns, tid) sort, dense thread ids — with no data-race reports.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -53,20 +52,23 @@ TEST(ObsTraceStress, ConcurrentEmissionDuringChurnAndShutdown) {
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> violations{0};
     std::atomic<std::uint64_t> drained_events{0};
+    std::atomic<std::uint64_t> drains{0};
     std::thread drainer([&] {
       while (!stop.load(std::memory_order_acquire)) {
         const TraceDrainResult drained = tracer.Drain();
         violations.fetch_add(CountViolations(drained));
         drained_events.fetch_add(drained.events.size());
+        drains.fetch_add(1);
         std::this_thread::yield();
       }
     });
+    // Churn starts only once the drainer is running, so the drains race
+    // emission instead of finishing after it.
+    while (drains.load() == 0) std::this_thread::yield();
 
     {
       engine::EngineOptions options;
       options.k = 4;
-      options.synchronous = false;
-      options.solver_threads = 2;
       engine::Engine eng(network, options);
 
       Rng trace_rng(98 + static_cast<std::uint64_t>(iteration));
@@ -91,9 +93,8 @@ TEST(ObsTraceStress, ConcurrentEmissionDuringChurnAndShutdown) {
           (void)eng.Checkpoint();  // kCheckpoint spans under load
         }
       }
-      // Engine destruction joins the pool mid-traffic: workers emit
-      // their final spans during shutdown while the drainer keeps
-      // draining.
+      // Engine destruction mid-traffic: the drainer keeps draining
+      // while the engine goes away.
     }
 
     InstallTracer(nullptr);

@@ -175,7 +175,6 @@ TEST(ObsTraceTest, TracedEngineRunEmitsExpectedPhases) {
   ScopedInstall install(&tracer);
   engine::EngineOptions options;
   options.k = 4;
-  options.synchronous = true;
   engine::Engine eng(network, options);
   std::vector<engine::FlowTicket> active;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {

@@ -176,8 +176,6 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
   // The same trace on a plain engine with the fleet's effective options.
   engine::EngineOptions plain = options.engine;
   plain.k = options.total_budget;
-  plain.synchronous = true;
-  plain.solver_threads = 1;
   engine::Engine eng(g, plain);
   std::vector<engine::FlowTicket> engine_active;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
@@ -195,7 +193,6 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
     engine_active.insert(engine_active.end(), result.tickets.begin(),
                          result.tickets.end());
   }
-  eng.WaitIdle();
 
   // The embedded block degenerates to the plain `engine-checkpoint v1`
   // (histograms excluded: the two runs' timing samples differ).

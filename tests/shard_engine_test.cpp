@@ -83,7 +83,6 @@ void ReplayEngine(engine::Engine& eng, const engine::ChurnTrace& trace,
     active.insert(active.end(), result.tickets.begin(),
                   result.tickets.end());
   }
-  eng.WaitIdle();
 }
 
 ShardedEngineOptions FleetOptions(std::size_t shards, std::size_t budget) {
@@ -169,8 +168,6 @@ TEST(ShardEngineTest, SingleShardMatchesPlainEngine) {
   // whole budget, synchronous, single-threaded.
   engine::EngineOptions plain = options.engine;
   plain.k = options.total_budget;
-  plain.synchronous = true;
-  plain.solver_threads = 1;
   engine::Engine eng(g, plain);
   std::vector<engine::FlowTicket> engine_active;
   ReplayEngine(eng, trace, 0, trace.epochs.size(), engine_active);

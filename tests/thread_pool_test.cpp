@@ -115,47 +115,6 @@ TEST(ParallelMapTest, ResultsInIndexOrder) {
   }
 }
 
-TEST(ThreadPoolTest, TaskHookRunsBeforeEveryTask) {
-  ThreadPool pool(2);
-  std::atomic<int> hook_calls{0};
-  pool.SetTaskHook([&hook_calls]() { ++hook_calls; });
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.Submit([i]() { return i; }));
-  }
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
-  }
-  EXPECT_EQ(hook_calls.load(), 16);
-  pool.Wait();  // counters are bumped after the future resolves
-  const ThreadPool::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.tasks_executed, 16u);
-  EXPECT_EQ(stats.tasks_dropped, 0u);
-  // Uninstalling stops the calls.
-  pool.SetTaskHook(nullptr);
-  pool.Submit([]() {}).get();
-  EXPECT_EQ(hook_calls.load(), 16);
-}
-
-TEST(ThreadPoolTest, ThrowingHookDropsTheTask) {
-  ThreadPool pool(1);
-  std::atomic<bool> ran{false};
-  pool.SetTaskHook([]() { throw std::runtime_error("injected"); });
-  std::future<void> dropped =
-      pool.Submit([&ran]() { ran.store(true); });
-  EXPECT_THROW(dropped.get(), std::future_error);
-  EXPECT_FALSE(ran.load());
-
-  pool.SetTaskHook(nullptr);
-  std::future<void> healthy = pool.Submit([&ran]() { ran.store(true); });
-  healthy.get();
-  EXPECT_TRUE(ran.load());
-  pool.Wait();  // counters are bumped after the future resolves
-  const ThreadPool::PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.tasks_dropped, 1u);
-  EXPECT_EQ(stats.tasks_executed, 1u);
-}
-
 TEST(ParallelMapTest, MatchesSerialComputation) {
   ThreadPool pool(8);
   auto heavy = [](std::size_t i) {
