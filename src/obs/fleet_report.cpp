@@ -4,19 +4,15 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
-#include <iterator>
 #include <map>
 #include <ostream>
+#include <sstream>
 
-#include "obs/trace_report.hpp"
+#include "obs/trace.hpp"
 
 namespace tdmd::obs {
 
 namespace {
-
-using internal::FindNumberField;
-using internal::FindStringField;
-using internal::NextArrayObject;
 
 FleetReport Fail(const std::string& error) {
   FleetReport report;
@@ -54,86 +50,38 @@ double Quantile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-FleetReport BuildFleetReport(std::istream& is) {
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  const std::size_t events_key = text.find("\"traceEvents\"");
-  if (events_key == std::string::npos) {
-    return Fail("no \"traceEvents\" key — not a Chrome trace JSON file");
-  }
-  std::size_t pos = text.find('[', events_key);
-  if (pos == std::string::npos) {
-    return Fail("\"traceEvents\" is not followed by an array");
-  }
-  ++pos;
-
+FleetReport BuildFleetReport(const ChromeTrace& trace) {
   FleetReport report;
+  report.num_events = trace.events.size();
   std::map<std::uint64_t, BatchChain> chains;
+  for (const ChromeTraceEvent& event : trace.events) {
+    if (event.name == "shard-recovery") ++report.recoveries;
+    if (event.name == "shed-batch") ++report.shed_batches;
+    if (event.batch == 0) continue;
 
-  for (;;) {
-    std::string object;
-    bool done = false;
-    if (!NextArrayObject(text, &pos, &object, &done)) {
-      return Fail("malformed traceEvents array (unbalanced object)");
-    }
-    if (done) break;
-    std::string name;
-    std::string ph;
-    double ts = 0.0;
-    if (!FindStringField(object, "name", &name) ||
-        !FindStringField(object, "ph", &ph) ||
-        !FindNumberField(object, "ts", &ts)) {
-      return Fail("trace event missing name/ph/ts: " + object);
-    }
-    double dur = 0.0;
-    if (ph == "X" && !FindNumberField(object, "dur", &dur)) {
-      return Fail("complete event missing dur: " + object);
-    }
-    ++report.num_events;
-
-    if (name == "shard-recovery") ++report.recoveries;
-    if (name == "shed-batch") ++report.shed_batches;
-
-    // Flow records ("name":"batch") carry no args.batch and fall out here
-    // along with every unbound event.
-    double batch_d = 0.0;
-    if (!FindNumberField(object, "batch", &batch_d) || batch_d <= 0.0) {
-      continue;
-    }
-    const auto batch = static_cast<std::uint64_t>(batch_d);
-    double tid = 0.0;
-    FindNumberField(object, "tid", &tid);
-
-    BatchChain& chain = chains[batch];
-    if (name == "fleet-submit") {
+    BatchChain& chain = chains[event.batch];
+    if (event.name == "fleet-submit") {
       chain.has_submit = true;
-      chain.submit_us = ts;
+      chain.submit_us = event.ts_us;
       continue;
     }
-    ShardChain& shard_chain = chain.by_tid[tid];
-    if (name == "queue-dwell") {
-      double arg = 0.0;
-      FindNumberField(object, "arg", &arg);
+    ShardChain& shard_chain = chain.by_tid[event.tid];
+    const double end_us = event.ts_us + event.dur_us;
+    if (event.name == "queue-dwell") {
       shard_chain.has_dwell = true;
-      shard_chain.shard = static_cast<std::uint64_t>(arg);
-      shard_chain.dwell_us += dur;
-      shard_chain.dwell_end_us = std::max(shard_chain.dwell_end_us, ts + dur);
-    } else if (name == "patch") {
+      shard_chain.shard = event.arg;
+      shard_chain.dwell_us += event.dur_us;
+      shard_chain.dwell_end_us = std::max(shard_chain.dwell_end_us, end_us);
+    } else if (event.name == "patch") {
       shard_chain.has_patch = true;
-      shard_chain.patch_end_us = std::max(shard_chain.patch_end_us, ts + dur);
-    } else if (name == "batch-adopted") {
+      shard_chain.patch_end_us = std::max(shard_chain.patch_end_us, end_us);
+    } else if (event.name == "batch-adopted") {
       shard_chain.has_adopt = true;
-      shard_chain.adopt_us = std::max(shard_chain.adopt_us, ts);
+      shard_chain.adopt_us = std::max(shard_chain.adopt_us, event.ts_us);
     }
-  }
-
-  if (report.num_events == 0) {
-    return Fail("trace contains no events");
   }
   if (chains.empty()) {
-    return Fail(
-        "trace contains no fleet-submit spans — not a fleet trace "
-        "(single-engine traces go to trace-report)");
+    return Fail("trace contains no fleet-submit spans — not a fleet trace");
   }
 
   std::map<std::uint64_t, FleetShardRow> shard_rows;
@@ -263,6 +211,99 @@ void WriteFleetReport(std::ostream& os, const FleetReport& report) {
     }
     os << "\n";
   }
+}
+
+bool WriteShardSplit(std::istream& is, std::ostream& os,
+                     std::string* error) {
+  // Plain-gauge/counter lines only: `name value`.  Comment lines start
+  // with '#'; histogram quantile series carry '{' labels — both are
+  // irrelevant to the per-shard summary, so skip them.
+  std::map<std::string, double> metrics;
+  std::string text_line;
+  while (std::getline(is, text_line)) {
+    if (text_line.empty() || text_line[0] == '#') continue;
+    if (text_line.find('{') != std::string::npos) continue;
+    std::istringstream ss(text_line);
+    std::string name;
+    double value = 0.0;
+    if (ss >> name >> value) metrics[name] = value;
+  }
+  // The first missing metric (or a count that is not one) ends the
+  // summary; nothing reaches `os` unless every metric is usable.
+  std::string problem;
+  const auto require = [&](const std::string& name) {
+    const auto it = metrics.find(name);
+    if (it != metrics.end()) return it->second;
+    if (problem.empty()) {
+      problem = "missing metric '" + name +
+                "' (not a sharded serve-trace dump?)";
+    }
+    return 0.0;
+  };
+  // Counts are range-checked before they become a size_t or bound a loop.
+  const auto require_count = [&](const std::string& name) -> std::size_t {
+    const double value = require(name);
+    if (value >= 0.0 && value < 4294967296.0) {
+      return static_cast<std::size_t>(value);
+    }
+    if (problem.empty()) problem = "metric '" + name + "' is not a count";
+    return 0;
+  };
+  const auto fail = [&] {
+    *error = problem;
+    return false;
+  };
+
+  const std::size_t num_shards = require_count("tdmd_fleet_num_shards");
+  if (!problem.empty()) return fail();
+  std::ostringstream out;
+  char line[200];
+  out << "shard  budget boxes flows  bandwidth    cert-bound  feasible\n";
+  std::size_t total_budget = 0;
+  double shard_bandwidth_sum = 0.0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::string prefix = "tdmd_shard" + std::to_string(s) + "_";
+    const std::size_t budget = require_count(prefix + "budget");
+    const std::size_t boxes = require_count(prefix + "boxes");
+    const std::size_t flows = require_count(prefix + "active_flows");
+    const double bandwidth = require(prefix + "bandwidth");
+    const double cert = require(prefix + "cert_bound");
+    const bool feasible = require(prefix + "feasible") > 0.5;
+    if (!problem.empty()) return fail();
+    total_budget += budget;
+    shard_bandwidth_sum += bandwidth;
+    std::snprintf(line, sizeof(line),
+                  "%5zu  %6zu %5zu %5zu %10.3f  %10.3f  %s\n", s, budget,
+                  boxes, flows, bandwidth, cert, feasible ? "yes" : "NO");
+    out << line;
+  }
+  std::snprintf(line, sizeof(line),
+                "fleet      : k=%zu across %zu shards, union bandwidth %.3f "
+                "(shard sum %.3f), cert %s %.3f, feasible %s\n",
+                total_budget, num_shards, require("tdmd_fleet_bandwidth"),
+                shard_bandwidth_sum,
+                require("tdmd_fleet_cert_valid") > 0.5 ? "valid" : "invalid",
+                require("tdmd_fleet_cert_bound"),
+                require("tdmd_fleet_feasible") > 0.5 ? "yes" : "NO");
+  out << line;
+  std::snprintf(line, sizeof(line),
+                "routing    : %.0f epochs, %.0f commands, %.0f shard-epochs "
+                "skipped, %.0f cross-shard flows\n",
+                require("tdmd_fleet_epochs"),
+                require("tdmd_fleet_commands_routed"),
+                require("tdmd_fleet_batches_skipped"),
+                require("tdmd_fleet_cross_shard_flows"));
+  out << line;
+  std::snprintf(line, sizeof(line),
+                "budget     : %.0f realloc rounds, %.0f adopted, "
+                "%.0f boxes moved\n",
+                require("tdmd_fleet_realloc_rounds"),
+                require("tdmd_fleet_realloc_adoptions"),
+                require("tdmd_fleet_budget_moves"));
+  out << line;
+  if (!problem.empty()) return fail();
+  os << out.str();
+  return true;
 }
 
 }  // namespace tdmd::obs

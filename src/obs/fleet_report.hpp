@@ -1,14 +1,19 @@
 #pragma once
 
-// Per-batch causal reconstruction of a fleet Chrome trace, as written by
-// serve-trace --shards=N --trace-out (DESIGN.md Section 15).  Every event a
-// fleet batch touches carries its batch id in args, so BuildFleetReport can
-// rebuild each batch's submit -> dequeue -> patch -> adopt critical path
-// from the flat event list: the straggler shard is the one whose adoption
-// lands last, the dominant stage is the longest leg of that shard's chain,
-// and the queue-dwell share says how much of the end-to-end latency was
-// spent waiting in MPSC queues rather than solving.  Parses the same
-// narrow JSON subset as trace_report.hpp (shared internal:: helpers).
+// The fleet sections of `tdmd_cli report`.
+//
+// BuildFleetReport does per-batch causal reconstruction of a fleet
+// Chrome trace read by ReadChromeTrace (serve-trace --shards=N
+// --trace-out, DESIGN.md Section 15).  Every event a fleet batch touches
+// carries its batch id in args, so the builder can rebuild each batch's
+// submit -> dequeue -> patch -> adopt critical path from the flat event
+// list: the straggler shard is the one whose adoption lands last, the
+// dominant stage is the longest leg of that shard's chain, and the
+// queue-dwell share says how much of the end-to-end latency was spent
+// waiting in MPSC queues rather than solving.
+//
+// WriteShardSplit summarizes the fleet's Prometheus metrics dump
+// (serve-trace --shards=N --metrics-out) as the per-shard budget split.
 
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +22,8 @@
 #include <vector>
 
 namespace tdmd::obs {
+
+struct ChromeTrace;
 
 /// Per-shard attribution over the connected batches.
 struct FleetShardRow {
@@ -66,15 +73,20 @@ struct FleetReport {
 
 inline constexpr std::size_t kMaxDisconnectedIds = 8;
 
-/// Fails (ok=false, one-line diagnostic) on anything that is not a
-/// well-formed fleet trace: missing "traceEvents", truncated or unbalanced
-/// objects, events missing name/ph/ts, an empty event array, or a trace
-/// with no fleet-submit spans (a single-engine trace is rejected rather
-/// than reported as "0 batches, all fine").
-FleetReport BuildFleetReport(std::istream& is);
+/// Fails (ok=false, one-line diagnostic) on a trace with no fleet-submit
+/// spans: a single-engine trace is rejected rather than reported as
+/// "0 batches, all fine".
+FleetReport BuildFleetReport(const ChromeTrace& trace);
 
 /// Prints the connected fraction, e2e quantiles, dominant-stage split,
 /// and the per-shard straggler table.
 void WriteFleetReport(std::ostream& os, const FleetReport& report);
+
+/// Prints the per-shard budget/boxes/flows/bandwidth/certificate table
+/// plus the fleet's union bandwidth, routing and budget counters from a
+/// sharded Prometheus dump.  Returns false with a "missing metric '...'"
+/// diagnostic in `error`, writing nothing, when the dump lacks a fleet
+/// metric (a single-engine dump has no tdmd_fleet_num_shards).
+bool WriteShardSplit(std::istream& is, std::ostream& os, std::string* error);
 
 }  // namespace tdmd::obs

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <istream>
-#include <iterator>
 #include <ostream>
+#include <utility>
 
 #include "obs/quality.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace_report.hpp"
+#include "obs/trace.hpp"
 
 namespace tdmd::obs {
 
@@ -22,83 +21,61 @@ QualityReport Fail(const std::string& error) {
 
 }  // namespace
 
-QualityReport BuildQualityReport(std::istream& is) {
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  const std::size_t events_key = text.find("\"traceEvents\"");
-  if (events_key == std::string::npos) {
-    return Fail("no \"traceEvents\" key — not a Chrome trace JSON file");
-  }
-  std::size_t pos = text.find('[', events_key);
-  if (pos == std::string::npos) {
-    return Fail("\"traceEvents\" is not followed by an array");
-  }
-  ++pos;
-
+QualityReport SummarizeQuality(std::vector<QualityReportPoint> points,
+                               std::vector<QualityReportAlertRow> alerts) {
   QualityReport report;
-  bool saw_event = false;
+  report.ok = true;
   double ratio_sum = 0.0;
-  for (;;) {
-    std::string object;
-    bool done = false;
-    if (!internal::NextArrayObject(text, &pos, &object, &done)) {
-      return Fail("malformed traceEvents array (unbalanced object)");
+  for (const QualityReportPoint& point : points) {
+    ratio_sum += point.ratio;
+    if (point.ratio < kQualityRatioFloor) ++report.below_floor;
+    report.min_ratio = &point == &points.front()
+                           ? point.ratio
+                           : std::min(report.min_ratio, point.ratio);
+  }
+  report.num_samples = points.size();
+  report.num_alert_events = alerts.size();
+  if (!points.empty()) {
+    report.mean_ratio = ratio_sum / static_cast<double>(points.size());
+    report.last_ratio = points.back().ratio;
+  }
+  report.points = std::move(points);
+  report.alerts = std::move(alerts);
+  return report;
+}
+
+QualityReport BuildQualityReport(const ChromeTrace& trace) {
+  std::vector<QualityReportPoint> points;
+  std::vector<QualityReportAlertRow> alerts;
+  for (const ChromeTraceEvent& event : trace.events) {
+    if (event.name != "quality-sample" && event.name != "quality-alert") {
+      continue;
     }
-    if (done) break;
-    std::string name;
-    std::string ph;
-    double ts = 0.0;
-    if (!internal::FindStringField(object, "name", &name) ||
-        !internal::FindStringField(object, "ph", &ph) ||
-        !internal::FindNumberField(object, "ts", &ts)) {
-      return Fail("trace event missing name/ph/ts: " + object);
+    if (!event.has_arg) {
+      return Fail("quality event missing args.arg: " + event.name +
+                  " at ts " + std::to_string(event.ts_us) + " us");
     }
-    saw_event = true;
-    if (name != "quality-sample" && name != "quality-alert") continue;
-    double arg_value = 0.0;
-    if (!internal::FindNumberField(object, "arg", &arg_value) ||
-        arg_value < 0.0) {
-      return Fail("quality event missing args.arg: " + object);
-    }
-    // Packed args stay below 2^53 for any epoch count a trace can hold,
-    // so the double round-trip through JSON is exact.
-    const auto arg = static_cast<std::uint64_t>(arg_value);
-    if (name == "quality-sample") {
+    if (event.name == "quality-sample") {
       QualityReportPoint point;
-      UnpackQualitySampleArg(arg, &point.epoch, &point.ratio);
-      ratio_sum += point.ratio;
-      if (point.ratio < kQualityRatioFloor) ++report.below_floor;
-      report.min_ratio = report.points.empty()
-                             ? point.ratio
-                             : std::min(report.min_ratio, point.ratio);
-      report.last_ratio = point.ratio;
-      report.points.push_back(point);
+      UnpackQualitySampleArg(event.arg, &point.epoch, &point.ratio);
+      points.push_back(point);
     } else {
       QualityAlert alert;
-      if (!UnpackQualityAlertArg(arg, &alert)) {
-        return Fail("quality-alert event with unknown kind: " + object);
+      if (!UnpackQualityAlertArg(event.arg, &alert)) {
+        return Fail("quality-alert event with unknown kind: arg " +
+                    std::to_string(event.arg) + " at ts " +
+                    std::to_string(event.ts_us) + " us");
       }
-      QualityReportAlertRow row;
-      row.kind = QualityAlertKindName(alert.kind);
-      row.raised = alert.raised;
-      row.epoch = alert.epoch;
-      report.alerts.push_back(row);
+      alerts.push_back(QualityReportAlertRow{
+          QualityAlertKindName(alert.kind), alert.raised, alert.epoch});
     }
   }
-  if (!saw_event) {
-    return Fail("trace contains no events");
-  }
-  if (report.points.empty()) {
+  if (points.empty()) {
     return Fail(
         "trace contains no quality-sample events — was the serve traced "
         "with quality sampling enabled?");
   }
-  report.num_samples = report.points.size();
-  report.num_alert_events = report.alerts.size();
-  report.mean_ratio =
-      ratio_sum / static_cast<double>(report.points.size());
-  report.ok = true;
-  return report;
+  return SummarizeQuality(std::move(points), std::move(alerts));
 }
 
 void WriteQualityReport(std::ostream& os, const QualityReport& report) {

@@ -4,11 +4,11 @@
 //
 // The engine emits one kQualitySample instant per epoch and one
 // kQualityAlert instant per alert edge, each with a packed arg
-// (obs/timeseries.hpp).  BuildQualityReport re-reads a trace file written
-// by WriteChromeTrace / serve-trace --trace-out and rebuilds the
-// epoch/ratio series and the fired alerts — the `tdmd_cli quality-report`
-// subcommand.  Like BuildTraceReport it rejects malformed input with a
-// one-line diagnostic instead of silently reporting zeros.
+// (obs/timeseries.hpp).  BuildQualityReport decodes them from a trace
+// read by ReadChromeTrace and rebuilds the epoch/ratio series and the
+// fired alerts — the quality section of `tdmd_cli report --trace`.
+// serve-trace --quality-out renders the engine's own timeline through
+// the same SummarizeQuality + WriteQualityReport pair.
 
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +17,8 @@
 #include <vector>
 
 namespace tdmd::obs {
+
+struct ChromeTrace;
 
 struct QualityReportPoint {
   std::uint64_t epoch = 0;
@@ -43,9 +45,14 @@ struct QualityReport {
   std::vector<QualityReportAlertRow> alerts;  // trace order
 };
 
-/// Fails on non-trace input (same diagnostics as BuildTraceReport) and on
-/// traces carrying no quality-sample events.
-QualityReport BuildQualityReport(std::istream& is);
+/// Builds an ok report from an epoch/ratio series and its alert edges:
+/// counts, min/mean/last ratio and the samples below the (1 - 1/e) floor.
+QualityReport SummarizeQuality(std::vector<QualityReportPoint> points,
+                               std::vector<QualityReportAlertRow> alerts);
+
+/// Fails on a quality event without a usable args.arg, on an alert of
+/// unknown kind, and on traces carrying no quality-sample events.
+QualityReport BuildQualityReport(const ChromeTrace& trace);
 
 /// Prints the summary, the alert list and the epoch/ratio series.
 void WriteQualityReport(std::ostream& os, const QualityReport& report);

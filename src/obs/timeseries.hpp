@@ -208,8 +208,8 @@ class RateCusum {
   std::uint64_t cleared_total_ = 0;
 };
 
-/// Packs a sample into the kQualitySample instant arg so quality-report
-/// can rebuild the timeline from a Chrome trace: epoch in the high 32
+/// Packs a sample into the kQualitySample instant arg so report's quality
+/// section can rebuild the timeline from a Chrome trace: epoch in the high 32
 /// bits, the realized ratio in parts-per-million (clamped to [0, 4e6]) in
 /// the low 32.
 std::uint64_t PackQualitySampleArg(std::uint64_t epoch, double ratio);

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <iomanip>
+#include <istream>
+#include <iterator>
 #include <ostream>
 #include <unordered_map>
 #include <utility>
@@ -289,29 +292,178 @@ void WriteChromeTrace(std::ostream& os, const TraceDrainResult& drained) {
   os.precision(saved_precision);
 }
 
-void WriteTraceLog(std::ostream& os, const TraceDrainResult& drained) {
-  const std::streamsize saved_precision = os.precision();
-  const auto saved_flags = os.flags();
-  os << std::fixed << std::setprecision(3);
-  os << "# tdmd-trace events=" << drained.events.size()
-     << " threads=" << drained.num_threads << " dropped=" << drained.dropped
-     << "\n";
-  for (const TraceEvent& event : drained.events) {
-    os << static_cast<double>(event.start_ns) / 1000.0 << "us tid="
-       << event.tid << " " << (event.is_span ? "span" : "inst") << " "
-       << TracePhaseName(event.phase);
-    if (event.is_span) {
-      os << " dur=" << static_cast<double>(event.duration_ns) / 1000.0
-         << "us";
-    }
-    os << " arg=" << event.arg;
-    if (event.batch != 0) {
-      os << " batch=" << event.batch;
-    }
-    os << "\n";
+namespace {
+
+// Narrow JSON helpers for ReadChromeTrace: they parse exactly the
+// flat-object subset WriteChromeTrace emits, tolerating any key order.
+
+/// Extracts the string value of `"key": "..."` from a flat JSON object.
+/// Returns false if the key is absent.  Escapes are left untouched — the
+/// trace writer only emits phase names, which contain none.
+bool FindStringField(const std::string& object, const std::string& key,
+                     std::string* value) {
+  const std::string needle = "\"" + key + "\"";
+  std::size_t pos = object.find(needle);
+  if (pos == std::string::npos) {
+    return false;
   }
-  os.flags(saved_flags);
-  os.precision(saved_precision);
+  pos = object.find(':', pos + needle.size());
+  if (pos == std::string::npos) {
+    return false;
+  }
+  pos = object.find('"', pos + 1);
+  if (pos == std::string::npos) {
+    return false;
+  }
+  const std::size_t end = object.find('"', pos + 1);
+  if (end == std::string::npos) {
+    return false;
+  }
+  *value = object.substr(pos + 1, end - pos - 1);
+  return true;
+}
+
+bool FindNumberField(const std::string& object, const std::string& key,
+                     double* value) {
+  const std::string needle = "\"" + key + "\"";
+  const std::size_t pos = object.find(needle);
+  if (pos == std::string::npos) {
+    return false;
+  }
+  const std::size_t colon = object.find(':', pos + needle.size());
+  if (colon == std::string::npos) {
+    return false;
+  }
+  const char* start = object.c_str() + colon + 1;
+  char* end = nullptr;
+  *value = std::strtod(start, &end);
+  return end != start;
+}
+
+/// Splits the top-level objects of a JSON array, honoring nested braces
+/// and quoted strings.  `pos` must point just past the opening '['.
+bool NextArrayObject(const std::string& text, std::size_t* pos,
+                     std::string* object, bool* done) {
+  std::size_t i = *pos;
+  while (i < text.size() &&
+         (text[i] == ',' || text[i] == ' ' || text[i] == '\n' ||
+          text[i] == '\r' || text[i] == '\t')) {
+    ++i;
+  }
+  if (i < text.size() && text[i] == ']') {
+    *pos = i + 1;
+    *done = true;
+    return true;
+  }
+  if (i >= text.size() || text[i] != '{') {
+    return false;
+  }
+  const std::size_t begin = i;
+  int depth = 0;
+  bool in_string = false;
+  for (; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{') {
+      ++depth;
+    } else if (c == '}') {
+      --depth;
+      if (depth == 0) {
+        *object = text.substr(begin, i - begin + 1);
+        *pos = i + 1;
+        *done = false;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Reads a non-negative integral u64 payload (args.arg / args.batch).
+/// Packed args stay below 2^53, so the double round trip is exact.
+bool FindU64Field(const std::string& object, const std::string& key,
+                  std::uint64_t* value) {
+  double parsed = 0.0;
+  if (!FindNumberField(object, key, &parsed) || !(parsed >= 0.0) ||
+      parsed >= 18446744073709551616.0) {
+    return false;
+  }
+  *value = static_cast<std::uint64_t>(parsed);
+  return true;
+}
+
+ChromeTrace FailTrace(const std::string& error) {
+  ChromeTrace trace;
+  trace.error = error;
+  return trace;
+}
+
+}  // namespace
+
+ChromeTrace ReadChromeTrace(std::istream& is) {
+  const std::string text((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t events_key = text.find("\"traceEvents\"");
+  if (events_key == std::string::npos) {
+    return FailTrace(
+        "no \"traceEvents\" key — not a Chrome trace JSON file");
+  }
+  std::size_t pos = text.find('[', events_key);
+  if (pos == std::string::npos) {
+    return FailTrace("\"traceEvents\" is not followed by an array");
+  }
+  ++pos;
+
+  ChromeTrace trace;
+  for (;;) {
+    std::string object;
+    bool done = false;
+    if (!NextArrayObject(text, &pos, &object, &done)) {
+      return FailTrace("malformed traceEvents array (unbalanced object)");
+    }
+    if (done) {
+      break;
+    }
+    ChromeTraceEvent event;
+    std::string ph;
+    if (!FindStringField(object, "name", &event.name) ||
+        !FindStringField(object, "ph", &ph) ||
+        !FindNumberField(object, "ts", &event.ts_us)) {
+      return FailTrace("trace event missing name/ph/ts: " + object);
+    }
+    event.is_span = ph == "X";
+    if (event.is_span && !FindNumberField(object, "dur", &event.dur_us)) {
+      return FailTrace("complete event missing dur: " + object);
+    }
+    if (ph == "s" || ph == "t" || ph == "f") {
+      continue;  // flow record
+    }
+    FindNumberField(object, "tid", &event.tid);
+    event.has_arg = FindU64Field(object, "arg", &event.arg);
+    FindU64Field(object, "batch", &event.batch);
+    trace.events.push_back(std::move(event));
+  }
+  if (trace.events.empty()) {
+    return FailTrace("trace contains no events");
+  }
+  // The writer records ring overwrites as otherData.dropped (a string).
+  std::string dropped;
+  const std::size_t other = text.find("\"otherData\"", pos);
+  if (other != std::string::npos &&
+      FindStringField(text.substr(other), "dropped", &dropped)) {
+    trace.dropped = std::strtoull(dropped.c_str(), nullptr, 10);
+  }
+  trace.ok = true;
+  return trace;
 }
 
 }  // namespace tdmd::obs

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -260,7 +261,37 @@ inline void TraceInstant(TracePhase phase, std::uint64_t arg = 0,
 /// tools/tdmd_lint bans it outside src/obs (rule flow-event).
 void WriteChromeTrace(std::ostream& os, const TraceDrainResult& drained);
 
-/// Writes events as a compact line-oriented text log.
-void WriteTraceLog(std::ostream& os, const TraceDrainResult& drained);
+/// One run event read back from a Chrome trace by ReadChromeTrace.  Times
+/// stay in the file's microseconds, exactly as written.
+struct ChromeTraceEvent {
+  std::string name;
+  bool is_span = false;  // "ph":"X" (has a duration) vs instant
+  double tid = 0.0;      // 0 when absent
+  double ts_us = 0.0;
+  double dur_us = 0.0;   // 0 for instants
+  bool has_arg = false;  // args.arg present and a non-negative integer
+  std::uint64_t arg = 0;
+  std::uint64_t batch = 0;  // args.batch (0 = unbound)
+};
+
+struct ChromeTrace {
+  bool ok = false;
+  std::string error;  // one-line diagnostic when !ok
+  /// Run events in file order.
+  std::vector<ChromeTraceEvent> events;
+  /// Events the tracer's rings overwrote before the drain
+  /// (otherData.dropped); nonzero means the trace is partial.
+  std::uint64_t dropped = 0;
+};
+
+/// Reads a file written by WriteChromeTrace: the narrow JSON subset it
+/// emits (a "traceEvents" array of flat objects, any key order), without
+/// a general JSON dependency.  Fails (ok=false) on a missing or
+/// non-array "traceEvents", a truncated or unbalanced object, an event
+/// missing name/ph/ts, a span without dur, or a trace with no events.
+/// Flow records ("ph":"s"/"t"/"f") are viewer decorations derived from
+/// batch ids, not run events, so they are validated and then skipped.
+/// Every report section reads traces through this one parser.
+ChromeTrace ReadChromeTrace(std::istream& is);
 
 }  // namespace tdmd::obs

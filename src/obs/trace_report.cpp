@@ -2,198 +2,38 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <istream>
-#include <iterator>
 #include <map>
 #include <ostream>
 #include <set>
+#include <utility>
+
+#include "obs/trace.hpp"
 
 namespace tdmd::obs {
 
-namespace internal {
-
-bool FindStringField(const std::string& object, const std::string& key,
-                     std::string* value) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t pos = object.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  pos = object.find(':', pos + needle.size());
-  if (pos == std::string::npos) {
-    return false;
-  }
-  pos = object.find('"', pos + 1);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  const std::size_t end = object.find('"', pos + 1);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *value = object.substr(pos + 1, end - pos - 1);
-  return true;
-}
-
-bool FindNumberField(const std::string& object, const std::string& key,
-                     double* value) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t pos = object.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  const std::size_t colon = object.find(':', pos + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  const char* start = object.c_str() + colon + 1;
-  char* end = nullptr;
-  *value = std::strtod(start, &end);
-  return end != start;
-}
-
-bool NextArrayObject(const std::string& text, std::size_t* pos,
-                     std::string* object, bool* done) {
-  std::size_t i = *pos;
-  while (i < text.size() &&
-         (text[i] == ',' || text[i] == ' ' || text[i] == '\n' ||
-          text[i] == '\r' || text[i] == '\t')) {
-    ++i;
-  }
-  if (i < text.size() && text[i] == ']') {
-    *pos = i + 1;
-    *done = true;
-    return true;
-  }
-  if (i >= text.size() || text[i] != '{') {
-    return false;
-  }
-  const std::size_t begin = i;
-  int depth = 0;
-  bool in_string = false;
-  for (; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0) {
-        *object = text.substr(begin, i - begin + 1);
-        *pos = i + 1;
-        *done = false;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace internal
-
-namespace {
-
-using internal::FindNumberField;
-using internal::FindStringField;
-using internal::NextArrayObject;
-
-TraceReport Fail(const std::string& error) {
+TraceReport BuildTraceReport(const ChromeTrace& trace) {
   TraceReport report;
-  report.error = error;
-  return report;
-}
-
-struct PhaseAccumulator {
-  bool is_span = false;
-  std::uint64_t count = 0;
-  double total_us = 0.0;
-  double max_us = 0.0;
-};
-
-}  // namespace
-
-TraceReport BuildTraceReport(std::istream& is) {
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  const std::size_t events_key = text.find("\"traceEvents\"");
-  if (events_key == std::string::npos) {
-    return Fail("no \"traceEvents\" key — not a Chrome trace JSON file");
-  }
-  std::size_t pos = text.find('[', events_key);
-  if (pos == std::string::npos) {
-    return Fail("\"traceEvents\" is not followed by an array");
-  }
-  ++pos;
-
-  TraceReport report;
-  std::map<std::string, PhaseAccumulator> phases;
+  report.num_events = trace.events.size();
+  report.dropped = trace.dropped;
+  std::map<std::string, TraceReportRow> phases;
   std::set<double> tids;
-  double min_ts = 0.0;
+  double min_ts = trace.events.empty() ? 0.0 : trace.events.front().ts_us;
   double max_end = 0.0;
-  bool saw_event = false;
-
-  for (;;) {
-    std::string object;
-    bool done = false;
-    if (!NextArrayObject(text, &pos, &object, &done)) {
-      return Fail("malformed traceEvents array (unbalanced object)");
-    }
-    if (done) {
-      break;
-    }
-    std::string name;
-    std::string ph;
-    double ts = 0.0;
-    if (!FindStringField(object, "name", &name) ||
-        !FindStringField(object, "ph", &ph) ||
-        !FindNumberField(object, "ts", &ts)) {
-      return Fail("trace event missing name/ph/ts: " + object);
-    }
-    double dur = 0.0;
-    const bool is_span = ph == "X";
-    if (is_span && !FindNumberField(object, "dur", &dur)) {
-      return Fail("complete event missing dur: " + object);
-    }
-    double tid = 0.0;
-    if (FindNumberField(object, "tid", &tid)) {
-      tids.insert(tid);
-    }
-
-    PhaseAccumulator& acc = phases[name];
-    acc.is_span = acc.is_span || is_span;
-    ++acc.count;
-    acc.total_us += dur;
-    acc.max_us = std::max(acc.max_us, dur);
-
-    min_ts = saw_event ? std::min(min_ts, ts) : ts;
-    max_end = std::max(max_end, ts + dur);
-    saw_event = true;
-    ++report.num_events;
-  }
-
-  if (!saw_event) {
-    return Fail("trace contains no events");
+  for (const ChromeTraceEvent& event : trace.events) {
+    tids.insert(event.tid);
+    TraceReportRow& row = phases[event.name];
+    row.is_span = row.is_span || event.is_span;
+    ++row.count;
+    row.total_us += event.dur_us;
+    row.max_us = std::max(row.max_us, event.dur_us);
+    min_ts = std::min(min_ts, event.ts_us);
+    max_end = std::max(max_end, event.ts_us + event.dur_us);
   }
   report.num_threads = tids.size();
   report.wall_us = max_end - min_ts;
-  for (const auto& [name, acc] : phases) {
-    TraceReportRow row;
+  for (auto& [name, row] : phases) {
     row.name = name;
-    row.is_span = acc.is_span;
-    row.count = acc.count;
-    row.total_us = acc.total_us;
-    row.max_us = acc.max_us;
-    report.rows.push_back(row);
+    report.rows.push_back(std::move(row));
   }
   std::sort(report.rows.begin(), report.rows.end(),
             [](const TraceReportRow& a, const TraceReportRow& b) {
@@ -208,7 +48,6 @@ TraceReport BuildTraceReport(std::istream& is) {
               }
               return a.name < b.name;
             });
-  report.ok = true;
   return report;
 }
 
@@ -219,6 +58,13 @@ void WriteTraceReport(std::ostream& os, const TraceReport& report) {
                 report.num_events, report.num_threads,
                 report.wall_us / 1000.0);
   os << line;
+  if (report.dropped > 0) {
+    std::snprintf(line, sizeof(line),
+                  "partial: %llu events dropped by trace-ring wrap-around; "
+                  "the table covers the retained events only\n",
+                  static_cast<unsigned long long>(report.dropped));
+    os << line;
+  }
   std::snprintf(line, sizeof(line), "%-18s %6s %12s %12s %12s %7s\n", "phase",
                 "count", "total_ms", "mean_us", "max_us", "share");
   os << line;

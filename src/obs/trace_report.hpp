@@ -1,10 +1,7 @@
 #pragma once
 
-// Per-phase breakdown of a Chrome trace_event JSON file, as written by
-// WriteChromeTrace / serve-trace --trace-out.  BuildTraceReport parses the
-// narrow JSON subset those writers produce (a "traceEvents" array of flat
-// objects) without pulling in a general JSON dependency, tolerating
-// arbitrary key order inside each event object.
+// Per-phase breakdown of a Chrome trace read by ReadChromeTrace
+// (obs/trace.hpp): the phase table `tdmd_cli report --trace` prints first.
 
 #include <cstddef>
 #include <cstdint>
@@ -13,6 +10,8 @@
 #include <vector>
 
 namespace tdmd::obs {
+
+struct ChromeTrace;
 
 struct TraceReportRow {
   std::string name;
@@ -23,46 +22,20 @@ struct TraceReportRow {
 };
 
 struct TraceReport {
-  bool ok = false;
-  std::string error;
   std::size_t num_events = 0;
   std::size_t num_threads = 0;
   double wall_us = 0.0;  // span of timestamps covered by the trace
+  /// Events the tracer's rings overwrote; nonzero marks a partial trace.
+  std::uint64_t dropped = 0;
   /// Spans first (by total time descending), then instants (by count).
   std::vector<TraceReportRow> rows;
 };
 
-/// Fails (ok=false, one-line diagnostic) on anything that is not a
-/// well-formed non-empty Chrome trace: missing "traceEvents", truncated
-/// or unbalanced objects, events missing name/ph/ts, or an empty event
-/// array (a trace with zero events reports nothing and is treated as a
-/// broken capture rather than silently printing zeros).
-TraceReport BuildTraceReport(std::istream& is);
+TraceReport BuildTraceReport(const ChromeTrace& trace);
 
 /// Prints the per-phase table: count, total, mean, max, and share of wall
-/// time for spans; count for instants.
+/// time for spans; count for instants.  A partial trace gets one
+/// `partial:` line under the header.
 void WriteTraceReport(std::ostream& os, const TraceReport& report);
-
-namespace internal {
-
-// Narrow JSON helpers shared by BuildTraceReport and BuildQualityReport
-// (obs/quality_report.hpp); they parse exactly the flat-object subset
-// WriteChromeTrace emits, tolerating arbitrary key order.
-
-/// Extracts the string value of `"key": "..."` from a flat JSON object.
-/// Returns false if the key is absent.  Escapes are left untouched — the
-/// trace writer only emits phase names, which contain none.
-bool FindStringField(const std::string& object, const std::string& key,
-                     std::string* value);
-
-bool FindNumberField(const std::string& object, const std::string& key,
-                     double* value);
-
-/// Splits the top-level objects of a JSON array, honoring nested braces
-/// and quoted strings.  `pos` must point just past the opening '['.
-bool NextArrayObject(const std::string& text, std::size_t* pos,
-                     std::string* object, bool* done);
-
-}  // namespace internal
 
 }  // namespace tdmd::obs

@@ -30,9 +30,10 @@
 //       from a checkpoint (DESIGN.md Section 9).  --metrics-out writes
 //       the counters + latency quantiles as Prometheus text (and the
 //       same data as <path>.json); --trace-out records structured spans
-//       into a Chrome trace_event JSON (plus a plain-text <path>.log);
-//       --quality-out writes the engine's quality timeline (realized
-//       ratio per epoch + fired regression alerts, DESIGN.md Section 11).
+//       into a Chrome trace_event JSON; --quality-out writes the engine's
+//       quality timeline (realized ratio per epoch + fired regression
+//       alerts, DESIGN.md Section 11); --prof-out writes the sampling
+//       profiler's collapsed stacks.  `report` summarizes all of them.
 //
 //   tdmd_cli serve-trace ... --shards=4 [--partition=bfs|spatial]
 //       Same churn replay, served by the sharded multi-engine fleet
@@ -41,37 +42,23 @@
 //       the global budget k is reallocated across shards on epoch
 //       boundaries.  --checkpoint-out/--restore switch to the
 //       `shardfleet v1` container format; --metrics-out dumps the merged
-//       fleet exposition (feed it to shard-report); --trace-out records
-//       the fleet's causal trace — every batch's spans share a batch id
-//       and a flow-event chain (feed it to fleet-report).
+//       fleet exposition; --trace-out records the fleet's causal trace —
+//       every batch's spans share a batch id and a flow-event chain.
 //
-//   tdmd_cli shard-report --metrics=fleet.prom
-//       Summarizes a sharded --metrics-out dump: per-shard budget split,
-//       local bandwidth and certificate, plus the fleet-level union
-//       bandwidth, certificate and coordinator counters.
-//
-//   tdmd_cli trace-report --trace=trace.json
-//       Aggregates a --trace-out file into a per-phase table: event
-//       counts, total/mean/max span time, and each phase's share of the
-//       run's wall time.
-//
-//   tdmd_cli prof-report --profile=profile.collapsed
-//       Aggregates a serve-trace --prof-out file (collapsed stacks from
-//       the sampling CPU profiler) into a per-phase self/total sample
-//       table plus the attributed-sample fraction.  The raw file itself
-//       is flamegraph.pl input.
-//
-//   tdmd_cli quality-report --trace=trace.json
-//       Rebuilds the quality timeline (epoch/ratio series + alert edges)
-//       from the quality-sample/quality-alert instants of a --trace-out
-//       file.
-//
-//   tdmd_cli fleet-report --trace=trace.json
-//       Reconstructs every fleet batch's submit -> dequeue -> patch ->
-//       adopt critical path from a sharded --trace-out file: connected
-//       fraction, e2e admission-to-adoption quantiles, dominant-stage
-//       split, and per-shard straggler/queue-dwell attribution
-//       (DESIGN.md Section 15).
+//   tdmd_cli report [--trace=trace.json] [--profile=profile.collapsed]
+//            [--metrics=fleet.prom]
+//       Summarizes a serve-trace run's artifacts, one section per input
+//       (at least one is required).  --trace: the per-phase table (event
+//       counts, total/mean/max span time, share of wall time, and a
+//       `partial:` line when the tracer's rings dropped events); then the
+//       quality timeline (epoch/ratio series + alert edges) when the trace
+//       holds quality samples; then, for a sharded trace, every batch's
+//       submit -> dequeue -> patch -> adopt critical path (connected
+//       fraction, e2e quantiles, dominant stage, per-shard stragglers;
+//       DESIGN.md Section 15).  --profile: the per-phase self/total
+//       sample table plus the attributed-sample fraction (the raw file is
+//       flamegraph.pl input).  --metrics: a sharded dump's per-shard
+//       budget split, bandwidth and certificate, plus the fleet roll-up.
 //
 //   tdmd_cli info --instance=instance.tdmd
 //       Prints instance statistics.
@@ -80,9 +67,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -412,12 +397,29 @@ void FinishProfile(obs::Profiler& profiler, const std::string& prof_out) {
   }
   std::printf("profile    : %llu samples @%u Hz from %zu threads "
               "(%llu dropped, %llu orphaned) -> %s (analyze with: "
-              "tdmd_cli prof-report --profile=%s)\n",
+              "tdmd_cli report --profile=%s)\n",
               static_cast<unsigned long long>(drained.samples),
               drained.sample_hz, drained.num_threads,
               static_cast<unsigned long long>(drained.dropped),
               static_cast<unsigned long long>(drained.orphaned),
               prof_out.c_str(), prof_out.c_str());
+}
+
+/// Uninstalls the tracer, drains its rings and writes the Chrome trace
+/// (shared by the single-engine and sharded serve-trace paths).
+void FinishTrace(obs::Tracer& tracer, const std::string& trace_out) {
+  obs::InstallTracer(nullptr);  // hooks no-op from here on
+  const obs::TraceDrainResult drained = tracer.Drain();
+  if (!io::WriteFile(trace_out, [&](std::ostream& os) {
+        obs::WriteChromeTrace(os, drained);
+      })) {
+    Die("cannot write " + trace_out);
+  }
+  std::printf("trace      : %zu events from %zu threads (%llu dropped) "
+              "-> %s (analyze with: tdmd_cli report --trace=%s)\n",
+              drained.events.size(), drained.num_threads,
+              static_cast<unsigned long long>(drained.dropped),
+              trace_out.c_str(), trace_out.c_str());
 }
 
 int ServeTraceSharded(const core::Instance& inst,
@@ -521,7 +523,7 @@ int ServeTraceSharded(const core::Instance& inst,
   // Sampling starts here and stops right after the loop, so the profile
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
-  // unattributed noise in prof-report).
+  // unattributed noise in the profile report).
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
@@ -609,30 +611,11 @@ int ServeTraceSharded(const core::Instance& inst,
       Die("cannot write " + json_path);
     }
     std::printf("metrics    : %s (JSON: %s; summarize with: tdmd_cli "
-                "shard-report --metrics=%s)\n",
+                "report --metrics=%s)\n",
                 params.metrics_out.c_str(), json_path.c_str(),
                 params.metrics_out.c_str());
   }
-  if (tracer.has_value()) {
-    obs::InstallTracer(nullptr);  // hooks no-op from here on
-    const obs::TraceDrainResult drained = tracer->Drain();
-    if (!io::WriteFile(params.trace_out, [&](std::ostream& os) {
-          obs::WriteChromeTrace(os, drained);
-        })) {
-      Die("cannot write " + params.trace_out);
-    }
-    const std::string log_path = params.trace_out + ".log";
-    if (!io::WriteFile(log_path, [&](std::ostream& os) {
-          obs::WriteTraceLog(os, drained);
-        })) {
-      Die("cannot write " + log_path);
-    }
-    std::printf("trace      : %zu events from %zu threads (%llu dropped) "
-                "-> %s (analyze with: tdmd_cli fleet-report --trace=%s)\n",
-                drained.events.size(), drained.num_threads,
-                static_cast<unsigned long long>(drained.dropped),
-                params.trace_out.c_str(), params.trace_out.c_str());
-  }
+  if (tracer.has_value()) FinishTrace(*tracer, params.trace_out);
   if (profiler.has_value()) FinishProfile(*profiler, params.prof_out);
   return snapshot.feasible ? 0 : 3;
 }
@@ -723,9 +706,7 @@ int ServeTrace(int argc, char** argv) {
   const auto* trace_out = parser.AddString(
       "trace-out", "",
       "record structured spans and write a Chrome trace_event JSON here "
-      "(load via chrome://tracing or feed to tdmd_cli trace-report; "
-      "sharded runs additionally feed tdmd_cli fleet-report); a "
-      "plain-text event log lands next to it as <path>.log");
+      "(load via chrome://tracing or feed to tdmd_cli report --trace)");
   const auto* quality_out = parser.AddString(
       "quality-out", "",
       "write the engine's quality timeline (per-epoch realized ratio vs "
@@ -733,7 +714,7 @@ int ServeTrace(int argc, char** argv) {
   const auto* prof_out = parser.AddString(
       "prof-out", "",
       "sample the run with the in-process CPU profiler and write "
-      "collapsed stacks here (feed to tdmd_cli prof-report or "
+      "collapsed stacks here (feed to tdmd_cli report --profile or "
       "flamegraph.pl)");
   const auto* prof_hz = parser.AddInt(
       "prof-hz", static_cast<int>(obs::Profiler::kDefaultSampleHz),
@@ -748,7 +729,7 @@ int ServeTrace(int argc, char** argv) {
   if (*shards > 1) {
     if (!quality_out->empty()) {
       Die("--quality-out is single-engine only; sharded runs expose "
-          "per-shard state via --metrics-out + shard-report");
+          "per-shard state via --metrics-out + report --metrics");
     }
     ShardedServeParams params;
     params.shards = static_cast<std::size_t>(*shards);
@@ -888,7 +869,7 @@ int ServeTrace(int argc, char** argv) {
   // Sampling starts here and stops right after the loop, so the profile
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
-  // unattributed noise in prof-report).
+  // unattributed noise in the profile report).
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
@@ -955,37 +936,22 @@ int ServeTrace(int argc, char** argv) {
   if (*checkpoint_every > 0) write_checkpoint();
 
   if (!quality_out->empty()) {
-    // Render the engine's own timeline through the same report writer the
-    // quality-report subcommand uses on a trace file.
+    // Render the engine's own timeline (which survives trace-ring drops)
+    // through the summary and writer of report's quality section.
     const obs::QualityTimelineSnapshot timeline = eng.QualityTimeline();
-    obs::QualityReport report;
-    report.ok = true;
-    double ratio_sum = 0.0;
-    report.points.reserve(timeline.samples.size());
+    std::vector<obs::QualityReportPoint> points;
+    points.reserve(timeline.samples.size());
     for (const obs::QualitySample& sample : timeline.samples) {
-      report.points.push_back(
-          obs::QualityReportPoint{sample.epoch, sample.realized_ratio});
-      ratio_sum += sample.realized_ratio;
-      if (sample.realized_ratio < obs::kQualityRatioFloor) {
-        ++report.below_floor;
-      }
-      report.min_ratio = report.points.size() == 1
-                             ? sample.realized_ratio
-                             : std::min(report.min_ratio,
-                                        sample.realized_ratio);
+      points.push_back({sample.epoch, sample.realized_ratio});
     }
-    report.num_samples = report.points.size();
-    if (report.num_samples > 0) {
-      report.mean_ratio =
-          ratio_sum / static_cast<double>(report.num_samples);
-      report.last_ratio = report.points.back().ratio;
-    }
-    report.alerts.reserve(timeline.alerts.size());
+    std::vector<obs::QualityReportAlertRow> alerts;
+    alerts.reserve(timeline.alerts.size());
     for (const obs::QualityAlert& alert : timeline.alerts) {
-      report.alerts.push_back(obs::QualityReportAlertRow{
-          obs::QualityAlertKindName(alert.kind), alert.raised, alert.epoch});
+      alerts.push_back({obs::QualityAlertKindName(alert.kind), alert.raised,
+                        alert.epoch});
     }
-    report.num_alert_events = report.alerts.size();
+    const obs::QualityReport report =
+        obs::SummarizeQuality(std::move(points), std::move(alerts));
     if (!io::WriteFile(*quality_out, [&](std::ostream& os) {
           obs::WriteQualityReport(os, report);
         })) {
@@ -1012,176 +978,71 @@ int ServeTrace(int argc, char** argv) {
     std::printf("metrics    : %s (JSON: %s)\n", metrics_out->c_str(),
                 json_path.c_str());
   }
-  if (tracer.has_value()) {
-    obs::InstallTracer(nullptr);  // hooks no-op from here on
-    const obs::TraceDrainResult drained = tracer->Drain();
-    if (!io::WriteFile(*trace_out, [&](std::ostream& os) {
-          obs::WriteChromeTrace(os, drained);
-        })) {
-      Die("cannot write " + *trace_out);
-    }
-    const std::string log_path = *trace_out + ".log";
-    if (!io::WriteFile(log_path, [&](std::ostream& os) {
-          obs::WriteTraceLog(os, drained);
-        })) {
-      Die("cannot write " + log_path);
-    }
-    std::printf("trace      : %zu events from %zu threads (%llu dropped) "
-                "-> %s\n",
-                drained.events.size(), drained.num_threads,
-                static_cast<unsigned long long>(drained.dropped),
-                trace_out->c_str());
-  }
+  if (tracer.has_value()) FinishTrace(*tracer, *trace_out);
   if (profiler.has_value()) FinishProfile(*profiler, *prof_out);
   return snapshot->feasible ? 0 : 3;
 }
 
-int ProfReportCommand(int argc, char** argv) {
-  ArgParser parser("tdmd_cli prof-report",
-                   "aggregate a serve-trace --prof-out collapsed-stack "
-                   "profile per phase");
+int Report(int argc, char** argv) {
+  ArgParser parser("tdmd_cli report",
+                   "summarize a serve-trace run's artifacts, one section "
+                   "per input");
+  const auto* trace_path = parser.AddString(
+      "trace", "",
+      "Chrome trace_event JSON written by serve-trace --trace-out: phase "
+      "table, then quality timeline and fleet critical paths when present");
   const auto* profile_path = parser.AddString(
-      "profile", "profile.collapsed",
+      "profile", "",
       "collapsed-stack profile written by serve-trace --prof-out");
-  parser.Parse(argc, argv);
-
-  std::ifstream in(*profile_path);
-  if (!in) Die("cannot open '" + *profile_path + "'");
-  const obs::ProfReport report = obs::BuildProfReport(in);
-  if (!report.ok) Die(*profile_path + ": " + report.error);
-  obs::WriteProfReport(std::cout, report);
-  return 0;
-}
-
-int TraceReportCommand(int argc, char** argv) {
-  ArgParser parser("tdmd_cli trace-report",
-                   "aggregate a serve-trace --trace-out file per phase");
-  const auto* trace_path = parser.AddString(
-      "trace", "trace.json",
-      "Chrome trace_event JSON written by serve-trace --trace-out");
-  parser.Parse(argc, argv);
-
-  std::ifstream in(*trace_path);
-  if (!in) Die("cannot open '" + *trace_path + "'");
-  const obs::TraceReport report = obs::BuildTraceReport(in);
-  if (!report.ok) Die(*trace_path + ": " + report.error);
-  obs::WriteTraceReport(std::cout, report);
-  return 0;
-}
-
-int QualityReportCommand(int argc, char** argv) {
-  ArgParser parser("tdmd_cli quality-report",
-                   "rebuild the quality timeline from a serve-trace "
-                   "--trace-out file");
-  const auto* trace_path = parser.AddString(
-      "trace", "trace.json",
-      "Chrome trace_event JSON written by serve-trace --trace-out");
-  parser.Parse(argc, argv);
-
-  std::ifstream in(*trace_path);
-  if (!in) Die("cannot open '" + *trace_path + "'");
-  const obs::QualityReport report = obs::BuildQualityReport(in);
-  if (!report.ok) Die(*trace_path + ": " + report.error);
-  obs::WriteQualityReport(std::cout, report);
-  return 0;
-}
-
-int FleetReportCommand(int argc, char** argv) {
-  ArgParser parser("tdmd_cli fleet-report",
-                   "reconstruct per-batch submit->dequeue->patch->adopt "
-                   "critical paths from a sharded serve-trace --trace-out "
-                   "file");
-  const auto* trace_path = parser.AddString(
-      "trace", "trace.json",
-      "Chrome trace_event JSON written by serve-trace --shards=N "
-      "--trace-out");
-  parser.Parse(argc, argv);
-
-  std::ifstream in(*trace_path);
-  if (!in) Die("cannot open '" + *trace_path + "'");
-  const obs::FleetReport report = obs::BuildFleetReport(in);
-  if (!report.ok) Die(*trace_path + ": " + report.error);
-  obs::WriteFleetReport(std::cout, report);
-  return 0;
-}
-
-int ShardReport(int argc, char** argv) {
-  ArgParser parser("tdmd_cli shard-report",
-                   "summarize a sharded serve-trace --metrics-out dump: "
-                   "per-shard budget split, bandwidth, and certificates");
   const auto* metrics_path = parser.AddString(
-      "metrics", "fleet.prom",
+      "metrics", "",
       "Prometheus text written by serve-trace --shards=N --metrics-out");
   parser.Parse(argc, argv);
-
-  std::ifstream in(*metrics_path);
-  if (!in) Die("cannot open '" + *metrics_path + "'");
-  // Plain-gauge/counter lines only: `name value`.  Comment lines start
-  // with '#'; histogram quantile series carry '{' labels — both are
-  // irrelevant to the per-shard summary, so skip them.
-  std::map<std::string, double> metrics;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line.find('{') != std::string::npos) continue;
-    std::istringstream ss(line);
-    std::string name;
-    double value = 0.0;
-    if (ss >> name >> value) metrics[name] = value;
+  if (trace_path->empty() && profile_path->empty() &&
+      metrics_path->empty()) {
+    Die("report needs --trace, --profile or --metrics");
   }
-  const auto lookup = [&metrics](const std::string& name, double& out) {
-    auto it = metrics.find(name);
-    if (it == metrics.end()) return false;
-    out = it->second;
-    return true;
+  const auto open_input = [](const std::string& path) {
+    std::ifstream in(path);
+    if (!in) Die("cannot open '" + path + "'");
+    return in;
   };
-  const auto require = [&](const std::string& name) {
-    double value = 0.0;
-    if (!lookup(name, value)) {
-      Die(*metrics_path + ": missing metric '" + name +
-          "' (not a sharded serve-trace dump?)");
+
+  if (!trace_path->empty()) {
+    std::ifstream in = open_input(*trace_path);
+    const obs::ChromeTrace trace = obs::ReadChromeTrace(in);
+    if (!trace.ok) Die(*trace_path + ": " + trace.error);
+    obs::WriteTraceReport(std::cout, obs::BuildTraceReport(trace));
+    const auto has = [&trace](const char* name) {
+      return std::any_of(trace.events.begin(), trace.events.end(),
+                         [name](const obs::ChromeTraceEvent& event) {
+                           return event.name == name;
+                         });
+    };
+    if (has("quality-sample")) {
+      const obs::QualityReport quality = obs::BuildQualityReport(trace);
+      if (!quality.ok) Die(*trace_path + ": " + quality.error);
+      obs::WriteQualityReport(std::cout, quality);
     }
-    return value;
-  };
-
-  const auto num_shards = static_cast<std::size_t>(
-      require("tdmd_fleet_num_shards"));
-  std::printf("shard  budget boxes flows  bandwidth    cert-bound  "
-              "feasible\n");
-  std::size_t total_budget = 0;
-  double shard_bandwidth_sum = 0.0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::string prefix = "tdmd_shard" + std::to_string(s) + "_";
-    const auto budget = static_cast<std::size_t>(require(prefix + "budget"));
-    const auto boxes = static_cast<std::size_t>(require(prefix + "boxes"));
-    const auto flows =
-        static_cast<std::size_t>(require(prefix + "active_flows"));
-    const double bandwidth = require(prefix + "bandwidth");
-    const double cert = require(prefix + "cert_bound");
-    const bool feasible = require(prefix + "feasible") > 0.5;
-    total_budget += budget;
-    shard_bandwidth_sum += bandwidth;
-    std::printf("%5zu  %6zu %5zu %5zu %10.3f  %10.3f  %s\n", s, budget,
-                boxes, flows, bandwidth, cert, feasible ? "yes" : "NO");
+    if (has("fleet-submit")) {
+      const obs::FleetReport fleet = obs::BuildFleetReport(trace);
+      if (!fleet.ok) Die(*trace_path + ": " + fleet.error);
+      obs::WriteFleetReport(std::cout, fleet);
+    }
   }
-  std::printf("fleet      : k=%zu across %zu shards, union bandwidth %.3f "
-              "(shard sum %.3f), cert %s %.3f, feasible %s\n",
-              total_budget, num_shards, require("tdmd_fleet_bandwidth"),
-              shard_bandwidth_sum,
-              require("tdmd_fleet_cert_valid") > 0.5 ? "valid" : "invalid",
-              require("tdmd_fleet_cert_bound"),
-              require("tdmd_fleet_feasible") > 0.5 ? "yes" : "NO");
-  std::printf("routing    : %.0f epochs, %.0f commands, %.0f shard-epochs "
-              "skipped, %.0f cross-shard flows\n",
-              require("tdmd_fleet_epochs"),
-              require("tdmd_fleet_commands_routed"),
-              require("tdmd_fleet_batches_skipped"),
-              require("tdmd_fleet_cross_shard_flows"));
-  std::printf("budget     : %.0f realloc rounds, %.0f adopted, "
-              "%.0f boxes moved\n",
-              require("tdmd_fleet_realloc_rounds"),
-              require("tdmd_fleet_realloc_adoptions"),
-              require("tdmd_fleet_budget_moves"));
+  if (!profile_path->empty()) {
+    std::ifstream in = open_input(*profile_path);
+    const obs::ProfReport profile = obs::BuildProfReport(in);
+    if (!profile.ok) Die(*profile_path + ": " + profile.error);
+    obs::WriteProfReport(std::cout, profile);
+  }
+  if (!metrics_path->empty()) {
+    std::ifstream in = open_input(*metrics_path);
+    std::string error;
+    if (!obs::WriteShardSplit(in, std::cout, &error)) {
+      Die(*metrics_path + ": " + error);
+    }
+  }
   return 0;
 }
 
@@ -1224,9 +1085,8 @@ int Main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: tdmd_cli "
-                 "<generate|solve|simulate|viz|serve-trace|trace-report"
-                 "|prof-report|quality-report|shard-report|fleet-report"
-                 "|info> [flags]\n"
+                 "<generate|solve|simulate|viz|serve-trace|report|info> "
+                 "[flags]\n"
                  "       tdmd_cli <command> --help\n");
     return 2;
   }
@@ -1238,19 +1098,7 @@ int Main(int argc, char** argv) {
   if (command == "simulate") return Simulate(argc - 1, argv + 1);
   if (command == "viz") return Viz(argc - 1, argv + 1);
   if (command == "serve-trace") return ServeTrace(argc - 1, argv + 1);
-  if (command == "trace-report") {
-    return TraceReportCommand(argc - 1, argv + 1);
-  }
-  if (command == "prof-report") {
-    return ProfReportCommand(argc - 1, argv + 1);
-  }
-  if (command == "quality-report") {
-    return QualityReportCommand(argc - 1, argv + 1);
-  }
-  if (command == "shard-report") return ShardReport(argc - 1, argv + 1);
-  if (command == "fleet-report") {
-    return FleetReportCommand(argc - 1, argv + 1);
-  }
+  if (command == "report") return Report(argc - 1, argv + 1);
   if (command == "info") return Info(argc - 1, argv + 1);
   std::fprintf(stderr, "tdmd_cli: unknown command '%s'\n", command.c_str());
   return 2;

@@ -1,8 +1,8 @@
-// fleet-report builder (DESIGN.md Section 15): per-batch causal
-// reconstruction from hand-written Chrome traces — connected chains,
-// straggler and dominant-stage attribution, shed/recovery counting — and
-// a malformed-trace corpus that must fail with one-line diagnostics
-// instead of reporting zeros.  The end-to-end check against a real
+// Fleet section of `tdmd_cli report` (DESIGN.md Section 15): per-batch
+// causal reconstruction from hand-written Chrome traces — connected
+// chains, straggler and dominant-stage attribution, shed/recovery
+// counting.  Malformed traces are ReadChromeTrace's to reject
+// (trace_report_corpus_test.cpp).  The end-to-end check against a real
 // 4-shard traced run lives in fleet_trace_e2e_test.cpp.
 #include "obs/fleet_report.hpp"
 
@@ -11,12 +11,16 @@
 #include <sstream>
 #include <string>
 
+#include "obs/trace.hpp"
+
 namespace tdmd::obs {
 namespace {
 
 FleetReport Build(const std::string& text) {
   std::istringstream is(text);
-  return BuildFleetReport(is);
+  const ChromeTrace trace = ReadChromeTrace(is);
+  EXPECT_TRUE(trace.ok) << trace.error;
+  return BuildFleetReport(trace);
 }
 
 /// A complete-event line in the writer's no-spaces JSON dialect.
@@ -65,45 +69,13 @@ std::string ConnectedBatch(std::uint64_t batch, double tid,
          Instant("batch-adopted", tid, t0 + 40, 1, batch);
 }
 
-struct CorpusCase {
-  const char* label;
-  const char* text;
-  const char* diagnostic;  // substring the error must contain
-};
-
-TEST(FleetReportTest, MalformedInputsAreRejectedWithDiagnostics) {
-  const CorpusCase corpus[] = {
-      {"empty file", "", "traceEvents"},
-      {"garbage", "complete garbage \x01\x02 not json", "traceEvents"},
-      {"wrong value type", R"({"traceEvents": {}})", "array"},
-      {"truncated event",
-       R"({"traceEvents": [{"name": "epoch", "ph": "X", "ts": 1)",
-       "malformed"},
-      {"missing fields", R"({"traceEvents": [{"ph": "i", "ts": 3}]})",
-       "missing name/ph/ts"},
-      {"span without dur",
-       R"({"traceEvents": [{"name": "epoch", "ph": "X", "ts": 1}]})",
-       "dur"},
-      {"no events", R"({"traceEvents": []})", "no events"},
-  };
-  for (const CorpusCase& c : corpus) {
-    const FleetReport report = Build(c.text);
-    EXPECT_FALSE(report.ok) << c.label;
-    EXPECT_NE(report.error.find(c.diagnostic), std::string::npos)
-        << c.label << ": " << report.error;
-    EXPECT_EQ(report.batches, 0u) << c.label;
-  }
-}
-
 TEST(FleetReportTest, SingleEngineTraceIsRejectedNotZeroed) {
   // Structurally valid, but no fleet-submit span anywhere: a
-  // single-engine trace must be pointed at trace-report, not summarized
-  // as "0 batches".
+  // single-engine trace must be rejected, not summarized as "0 batches".
   const FleetReport report =
       Build(Trace({Span("epoch", 0, 1, 5, 1), Instant("adoption", 0, 9, 2)}));
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("no fleet-submit spans"), std::string::npos);
-  EXPECT_NE(report.error.find("trace-report"), std::string::npos);
 }
 
 TEST(FleetReportTest, ReconstructsConnectedChainsWithAttribution) {
@@ -206,9 +178,10 @@ TEST(FleetReportTest, CountsShedAndRecoveryInstants) {
 }
 
 TEST(FleetReportTest, FlowRecordsDoNotPolluteChains) {
-  // Interleave writer-style flow records ("name":"batch", string-free of
-  // args.batch) with the bound events; they must be counted as events
-  // but never create or corrupt a chain.
+  // Interleave writer-style flow records ("name":"batch", free of
+  // args.batch) with the bound events; they are viewer decorations, not
+  // run events, so they must neither count as events nor create or
+  // corrupt a chain.
   const std::string flow_start =
       R"({"name":"batch","cat":"batch","ph":"s","id":1,"pid":1,"tid":0,"ts":101})";
   const std::string flow_finish =
@@ -216,7 +189,7 @@ TEST(FleetReportTest, FlowRecordsDoNotPolluteChains) {
   const FleetReport report = Build(
       Trace({ConnectedBatch(1, 1, 0, 100), flow_start, flow_finish}));
   ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_EQ(report.num_events, 6u);  // 4 bound events + 2 flow records
+  EXPECT_EQ(report.num_events, 4u);  // the 4 bound events only
   EXPECT_EQ(report.batches, 1u);
   EXPECT_EQ(report.connected, 1u);
 }

@@ -1,11 +1,12 @@
 // End-to-end causal tracing of the sharded fleet (DESIGN.md Section 15):
 // a real traced 4-shard run must reconstruct (nearly) every batch into
 // one connected submit -> dequeue -> patch -> adopt critical path in
-// fleet-report, the admission-to-adoption latency pipeline must surface
-// as mergeable tdmd_fleet_e2e_* histograms, the SLO-burn detector must
-// raise under sustained violation and clear once the burn stops, and
-// recovery/shed instants must land in both trace-report and
-// fleet-report.
+// report's fleet section, the admission-to-adoption latency pipeline must
+// surface as mergeable tdmd_fleet_e2e_* histograms, the SLO-burn detector
+// must raise under sustained violation and clear once the burn stops,
+// recovery/shed instants must land in both the phase table and the fleet
+// section, and the shard split of a real metrics dump must match the
+// fleet's snapshot.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,8 +17,10 @@
 
 #include "common/rng.hpp"
 #include "engine/churn_trace.hpp"
+#include "engine/engine.hpp"
 #include "faults/faults.hpp"
 #include "obs/fleet_report.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_report.hpp"
 #include "shard/sharded_engine.hpp"
@@ -99,7 +102,9 @@ TEST(FleetTraceE2eTest, FourShardTracedRunReconstructsConnectedChains) {
   std::ostringstream json;
   WriteChromeTrace(json, tracer.Drain());
   std::istringstream in(json.str());
-  const obs::FleetReport report = obs::BuildFleetReport(in);
+  const obs::ChromeTrace parsed = obs::ReadChromeTrace(in);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const obs::FleetReport report = obs::BuildFleetReport(parsed);
   ASSERT_TRUE(report.ok) << report.error;
   ASSERT_GE(report.batches, trace.epochs.size());
   const double connected_fraction =
@@ -278,10 +283,12 @@ TEST(FleetTraceE2eTest, RecoveryAndShedInstantsLandInBothReports) {
   ASSERT_GE(stats.recoveries_completed, 1u);
   ASSERT_GE(stats.shed_batches, 1u);
 
-  // trace-report: both instants appear as named rows.
-  std::istringstream trace_in(json_text);
-  const obs::TraceReport trace_report = obs::BuildTraceReport(trace_in);
-  ASSERT_TRUE(trace_report.ok) << trace_report.error;
+  std::istringstream in(json_text);
+  const obs::ChromeTrace parsed = obs::ReadChromeTrace(in);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+
+  // Phase table: both instants appear as named rows.
+  const obs::TraceReport trace_report = obs::BuildTraceReport(parsed);
   std::uint64_t recovery_rows = 0;
   std::uint64_t shed_rows = 0;
   for (const obs::TraceReportRow& row : trace_report.rows) {
@@ -291,21 +298,75 @@ TEST(FleetTraceE2eTest, RecoveryAndShedInstantsLandInBothReports) {
   EXPECT_EQ(recovery_rows, stats.recoveries_completed);
   EXPECT_EQ(shed_rows, stats.shed_batches);
 
-  // fleet-report: same counts on the summary line.
-  std::istringstream fleet_in(json_text);
-  const obs::FleetReport fleet_report = obs::BuildFleetReport(fleet_in);
+  // Fleet section: same counts on the summary line.
+  const obs::FleetReport fleet_report = obs::BuildFleetReport(parsed);
   ASSERT_TRUE(fleet_report.ok) << fleet_report.error;
   EXPECT_EQ(fleet_report.recoveries, stats.recoveries_completed);
   EXPECT_EQ(fleet_report.shed_batches, stats.shed_batches);
 
-  // The metrics dump from this run still carries everything shard-report
-  // requires (per-shard rows plus the fleet roll-up).
+  // The metrics dump from this run still carries everything the shard
+  // split requires (per-shard rows plus the fleet roll-up).
   for (const char* name :
        {"tdmd_fleet_num_shards", "tdmd_shard0_budget", "tdmd_shard1_budget",
         "tdmd_fleet_recoveries_completed", "tdmd_fleet_shed_batches",
         "tdmd_fleet_epochs", "tdmd_fleet_commands_routed"}) {
     EXPECT_NE(metrics.find(name), std::string::npos) << name;
   }
+}
+
+// report --metrics: the shard split of a real 2-shard dump matches the
+// fleet's own snapshot row for row, and a single-engine dump or a bogus
+// shard count is rejected without printing anything.
+TEST(FleetTraceE2eTest, ShardSplitMatchesFleetSnapshot) {
+  const graph::Digraph g = TestNetwork(7);
+  const engine::ChurnTrace trace = MakeTrace(g, 8, 7);
+  ShardedEngine fleet(g, FleetOptions(2, 6));
+  std::vector<FlowId64> active;
+  ReplayFleet(fleet, trace, active);
+  const FleetSnapshot snapshot = fleet.Snapshot();
+  ASSERT_EQ(snapshot.shards.size(), 2u);
+  std::stringstream dump;
+  fleet.DumpMetrics(dump, obs::MetricsFormat::kPrometheus);
+
+  std::ostringstream split;
+  std::string error;
+  ASSERT_TRUE(obs::WriteShardSplit(dump, split, &error)) << error;
+  std::istringstream lines(split.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));  // column header
+  for (std::size_t s = 0; s < snapshot.shards.size(); ++s) {
+    ASSERT_TRUE(std::getline(lines, line));
+    std::istringstream row(line);
+    std::size_t shard = 0;
+    std::size_t budget = 0;
+    std::size_t boxes = 0;
+    std::size_t flows = 0;
+    ASSERT_TRUE(row >> shard >> budget >> boxes >> flows) << line;
+    EXPECT_EQ(shard, s);
+    EXPECT_EQ(budget, snapshot.shards[s].budget) << line;
+    EXPECT_EQ(boxes, snapshot.shards[s].boxes) << line;
+    EXPECT_EQ(flows, snapshot.shards[s].active_flows) << line;
+  }
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_NE(line.find("k=6 across 2 shards"), std::string::npos) << line;
+
+  // A single-engine dump carries no fleet metrics.
+  engine::EngineOptions options;
+  options.k = 6;
+  engine::Engine eng(g, options);
+  eng.SubmitBatch(trace.epochs.front().arrivals, {});
+  std::stringstream single_dump;
+  eng.DumpMetrics(single_dump, obs::MetricsFormat::kPrometheus);
+  std::ostringstream rejected;
+  EXPECT_FALSE(obs::WriteShardSplit(single_dump, rejected, &error));
+  EXPECT_NE(error.find("tdmd_fleet_num_shards"), std::string::npos) << error;
+  EXPECT_TRUE(rejected.str().empty()) << rejected.str();
+
+  // A shard count that is not a count never sizes the loop.
+  std::istringstream negative("tdmd_fleet_num_shards -1\n");
+  EXPECT_FALSE(obs::WriteShardSplit(negative, rejected, &error));
+  EXPECT_NE(error.find("is not a count"), std::string::npos) << error;
+  EXPECT_TRUE(rejected.str().empty()) << rejected.str();
 }
 
 }  // namespace

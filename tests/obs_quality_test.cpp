@@ -2,7 +2,7 @@
 // certificate tracker's min(cert, trivial) bound selection, the timeline
 // ring + EWMA/CUSUM/burn-rate detectors (fire and clear edges), snapshot
 // round-trips with incoherent-state rejection, and the packed trace-arg
-// encodings quality-report decodes.
+// encodings report's quality section decodes.
 #include "obs/quality.hpp"
 
 #include <gtest/gtest.h>

@@ -1,6 +1,7 @@
 // Tracer behavior: install/uninstall, span and instant emission, ring
-// overwrite accounting, drain ordering, and the Chrome-JSON / text-log
-// writers (validated by feeding the JSON back through BuildTraceReport).
+// overwrite accounting, drain ordering, and the Chrome-JSON writer
+// (validated by reading the JSON back through ReadChromeTrace and the
+// phase-table builder).
 // Ends with an engine-integration check that a traced synchronous run
 // emits the expected phases.
 #include "obs/trace.hpp"
@@ -131,8 +132,10 @@ TEST(ObsTraceTest, ChromeTraceParsesBackThroughTraceReport) {
   WriteChromeTrace(json, tracer.Drain());
 
   std::istringstream in(json.str());
-  const TraceReport report = BuildTraceReport(in);
-  ASSERT_TRUE(report.ok) << report.error;
+  const ChromeTrace trace = ReadChromeTrace(in);
+  ASSERT_TRUE(trace.ok) << trace.error;
+  EXPECT_EQ(trace.dropped, 0u);
+  const TraceReport report = BuildTraceReport(trace);
   EXPECT_EQ(report.num_events, 3u);
   EXPECT_EQ(report.num_threads, 1u);
   std::map<std::string, std::uint64_t> counts;
@@ -145,20 +148,33 @@ TEST(ObsTraceTest, ChromeTraceParsesBackThroughTraceReport) {
   std::ostringstream table;
   WriteTraceReport(table, report);
   EXPECT_NE(table.str().find("gtp-round"), std::string::npos);
+  // A complete trace carries no partial marker.
+  EXPECT_EQ(table.str().find("partial:"), std::string::npos);
 }
 
-TEST(ObsTraceTest, TextLogNamesEveryEvent) {
-  Tracer tracer;
-  ScopedInstall install(&tracer);
-  TraceInstant(TracePhase::kModeTransition, 2);
-  { ScopedSpan span(TracePhase::kCheckpoint); }
+TEST(ObsTraceTest, DroppedEventsMarkTheTraceReportPartial) {
+  Tracer tracer(/*ring_capacity=*/2);
+  {
+    ScopedInstall install(&tracer);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      TraceInstant(TracePhase::kCelfPop, i);
+    }
+  }
+  std::ostringstream json;
+  WriteChromeTrace(json, tracer.Drain());
 
-  std::ostringstream log;
-  WriteTraceLog(log, tracer.Drain());
-  const std::string text = log.str();
-  EXPECT_NE(text.find("# tdmd-trace events=2"), std::string::npos);
-  EXPECT_NE(text.find("mode-transition"), std::string::npos);
-  EXPECT_NE(text.find("checkpoint"), std::string::npos);
+  std::istringstream in(json.str());
+  const ChromeTrace trace = ReadChromeTrace(in);
+  ASSERT_TRUE(trace.ok) << trace.error;
+  EXPECT_EQ(trace.events.size(), 2u);
+  EXPECT_EQ(trace.dropped, 6u);
+
+  std::ostringstream table;
+  WriteTraceReport(table, BuildTraceReport(trace));
+  const std::string text = table.str();
+  // The marker is the line right under the header.
+  const std::string after_header = text.substr(text.find('\n') + 1);
+  EXPECT_EQ(after_header.rfind("partial: 6 events dropped", 0), 0u) << text;
 }
 
 TEST(ObsTraceTest, TracedEngineRunEmitsExpectedPhases) {
@@ -239,11 +255,17 @@ TEST(ObsTraceTest, BatchBoundEventsEmitFlowChain) {
   // The finish record binds at the enclosing slice ("bp":"e").
   EXPECT_NE(text.find("\"bp\":\"e\""), std::string::npos);
 
-  // The JSON still parses back through trace-report (flow records are
-  // counted but need no dur).
+  // The reader validates and then drops the flow records: they are
+  // viewer decorations, not run events, so the phase table counts the
+  // 4 emitted events and lists no "batch" phase.
   std::istringstream in(text);
-  const TraceReport report = BuildTraceReport(in);
-  ASSERT_TRUE(report.ok) << report.error;
+  const ChromeTrace trace = ReadChromeTrace(in);
+  ASSERT_TRUE(trace.ok) << trace.error;
+  const TraceReport report = BuildTraceReport(trace);
+  EXPECT_EQ(report.num_events, 4u);
+  for (const TraceReportRow& row : report.rows) {
+    EXPECT_NE(row.name, "batch");
+  }
 }
 
 TEST(ObsTraceTest, DropTotalSurvivesTracerUninstall) {
