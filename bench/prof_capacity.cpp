@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/args.hpp"
+#include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -30,28 +31,6 @@
 
 namespace tdmd::bench {
 namespace {
-
-/// Translates positional departures into ids and removes them from
-/// `active` in one compaction pass.  The naive per-departure erase is
-/// O(active) each — enough unattributed bench-side CPU to distort the
-/// attributed-fraction measurement this bench exists to take.
-template <typename Id>
-std::vector<Id> TakeDepartures(std::vector<Id>& active,
-                               const std::vector<std::size_t>& positions) {
-  std::vector<Id> departing;
-  departing.reserve(positions.size());
-  std::vector<bool> leaving(active.size(), false);
-  for (std::size_t position : positions) {
-    departing.push_back(active[position]);
-    leaving[position] = true;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (!leaving[i]) active[kept++] = active[i];
-  }
-  active.resize(kept);
-  return departing;
-}
 
 /// Fraction of delivered samples whose stack names at least one phase.
 double AttributedFraction(const obs::ProfDrainResult& drained) {
@@ -85,24 +64,36 @@ ProfiledEngineRun RunEngine(const ChurnWorkload& w, std::size_t k,
   options.lambda = lambda;
   options.move_threshold = 0.0;
 
+  // Churn bookkeeping stays outside the sampled window, as in
+  // serve-trace: departures are resolved to arrival sequence numbers up
+  // front, so the loop maps them to tickets in O(departures).
+  const std::vector<std::vector<std::size_t>> departures =
+      engine::DepartureSequences(w.trace.epochs, w.prefill.size());
   obs::Profiler::Options prof_options;
   prof_options.sample_hz = sample_hz;
   obs::Profiler profiler(prof_options);
   obs::InstallProfiler(&profiler);
 
   ProfiledEngineRun run;
+  // The handle buffers outlive the repeats, so after the first one they
+  // never reallocate: the loop's own work per epoch stays O(churn).
+  std::vector<engine::FlowTicket> tickets;  // by arrival sequence
+  std::vector<engine::FlowTicket> departing;
   const std::uint64_t start_ns = obs::MonotonicNanos();
   for (std::size_t r = 0; r < repeats; ++r) {
     engine::Engine eng(w.network, options);
-    std::vector<engine::FlowTicket> active =
-        eng.SubmitBatch(w.prefill, {}).tickets;
-    for (const engine::ChurnEpoch& epoch : w.trace.epochs) {
-      const std::vector<engine::FlowTicket> departing =
-          TakeDepartures(active, epoch.departures);
+    const engine::Engine::BatchResult prefilled =
+        eng.SubmitBatch(w.prefill, {});
+    tickets.assign(prefilled.tickets.begin(), prefilled.tickets.end());
+    for (std::size_t e = 0; e < w.trace.epochs.size(); ++e) {
+      departing.clear();
+      for (std::size_t sequence : departures[e]) {
+        departing.push_back(tickets[sequence]);
+      }
       const engine::Engine::BatchResult batch =
-          eng.SubmitBatch(epoch.arrivals, departing);
-      active.insert(active.end(), batch.tickets.begin(),
-                    batch.tickets.end());
+          eng.SubmitBatch(w.trace.epochs[e].arrivals, departing);
+      tickets.insert(tickets.end(), batch.tickets.begin(),
+                     batch.tickets.end());
     }
     run.memory = eng.MemoryUsage();
   }
@@ -132,27 +123,33 @@ ProfiledFleetRun RunFleet(const ShardWorkload& w, std::size_t shards,
   options.realloc_interval_epochs = 0;
   options.pin_threads = false;
 
+  const std::vector<std::vector<std::size_t>> departures =
+      engine::DepartureSequences(w.epochs, w.prefill.size());
   obs::Profiler::Options prof_options;
   prof_options.sample_hz = sample_hz;
   obs::Profiler profiler(prof_options);
   obs::InstallProfiler(&profiler);
 
   ProfiledFleetRun run;
+  std::vector<shard::FlowId64> ids;  // by arrival sequence
+  std::vector<shard::FlowId64> departing;
   const std::uint64_t start_ns = obs::MonotonicNanos();
   for (std::size_t r = 0; r < repeats; ++r) {
     // Scoped so the workers are joined before the profiler uninstalls —
     // the rings must outlive every registered thread's last span.
     shard::ShardedEngine fleet(w.network, options);
-    std::vector<shard::FlowId64> active =
-        fleet.SubmitBatch(w.prefill, {}).flow_ids;
+    const shard::ShardedEngine::BatchResult prefilled =
+        fleet.SubmitBatch(w.prefill, {});
+    ids.assign(prefilled.flow_ids.begin(), prefilled.flow_ids.end());
     fleet.Drain();
-    for (const ShardEpoch& epoch : w.epochs) {
-      const std::vector<shard::FlowId64> departing =
-          TakeDepartures(active, epoch.departures);
+    for (std::size_t e = 0; e < w.epochs.size(); ++e) {
+      departing.clear();
+      for (std::size_t sequence : departures[e]) {
+        departing.push_back(ids[sequence]);
+      }
       const shard::ShardedEngine::BatchResult batch =
-          fleet.SubmitBatch(epoch.arrivals, departing);
-      active.insert(active.end(), batch.flow_ids.begin(),
-                    batch.flow_ids.end());
+          fleet.SubmitBatch(w.epochs[e].arrivals, departing);
+      ids.insert(ids.end(), batch.flow_ids.begin(), batch.flow_ids.end());
     }
     fleet.Drain();
     run.memory = fleet.MemoryUsage();

@@ -114,11 +114,9 @@ ChurnWorkload BuildChurnWorkload(VertexId size, std::size_t flows,
                                  std::uint64_t seed);
 
 /// One epoch of the regionalized shard workload: pre-drawn arrivals and
-/// positional departure indices into the caller's active-flow list.
-struct ShardEpoch {
-  traffic::FlowSet arrivals;
-  std::vector<std::size_t> departures;
-};
+/// positional departure indices into the caller's active-flow list (the
+/// engine::ChurnEpoch convention).
+using ShardEpoch = engine::ChurnEpoch;
 
 /// Regionalized churn workload for bench/shard_scaling: `regions`
 /// farthest-point hubs carve the topology into Voronoi regions, every

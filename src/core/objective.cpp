@@ -45,40 +45,41 @@ Bandwidth EvaluateDecrement(const Instance& instance,
 
 ServedState::ServedState(const Instance& instance)
     : instance_(&instance),
+      one_minus_lambda_(1.0 - instance.lambda()),
       best_index_(static_cast<std::size_t>(instance.num_flows()),
                   kUnservedIndex),
-      bandwidth_(instance.UnprocessedBandwidth()),
-      unserved_count_(instance.num_flows()) {}
+      unserved_count_(instance.num_flows()) {
+  for (const traffic::Flow& flow : instance.flows()) {
+    unprocessed_units_ +=
+        flow.rate * static_cast<std::int64_t>(flow.PathEdges());
+  }
+}
+
+std::int64_t ServedState::DecrementUnits(const Instance::FlowVisit& visit,
+                                         std::int32_t current) const {
+  const traffic::Flow& flow = instance_->flow(visit.flow);
+  const auto edges = static_cast<std::int32_t>(flow.PathEdges());
+  const std::int32_t new_l = edges - visit.path_index;
+  const std::int32_t old_l = current == kUnservedIndex ? 0 : edges - current;
+  return flow.rate * (new_l - old_l);
+}
 
 Bandwidth ServedState::MarginalDecrement(VertexId v) const {
-  Bandwidth gain = 0.0;
-  const double one_minus_lambda = 1.0 - instance_->lambda();
+  std::int64_t units = 0;
   for (const Instance::FlowVisit& visit : instance_->FlowsThrough(v)) {
     const std::int32_t current =
         best_index_[static_cast<std::size_t>(visit.flow)];
     if (visit.path_index >= current) continue;  // no improvement
-    const traffic::Flow& flow = instance_->flow(visit.flow);
-    const auto edges = static_cast<std::int32_t>(flow.PathEdges());
-    const std::int32_t new_l = edges - visit.path_index;
-    const std::int32_t old_l = current == kUnservedIndex ? 0 : edges - current;
-    gain += static_cast<Bandwidth>(flow.rate) * one_minus_lambda *
-            static_cast<Bandwidth>(new_l - old_l);
+    units += DecrementUnits(visit, current);
   }
-  return gain;
+  return one_minus_lambda_ * static_cast<Bandwidth>(units);
 }
 
 void ServedState::Deploy(VertexId v) {
-  const double one_minus_lambda = 1.0 - instance_->lambda();
   for (const Instance::FlowVisit& visit : instance_->FlowsThrough(v)) {
     auto& current = best_index_[static_cast<std::size_t>(visit.flow)];
     if (visit.path_index >= current) continue;
-    const traffic::Flow& flow = instance_->flow(visit.flow);
-    const auto edges = static_cast<std::int32_t>(flow.PathEdges());
-    const std::int32_t new_l = edges - visit.path_index;
-    const std::int32_t old_l =
-        current == kUnservedIndex ? 0 : edges - current;
-    bandwidth_ -= static_cast<Bandwidth>(flow.rate) * one_minus_lambda *
-                  static_cast<Bandwidth>(new_l - old_l);
+    decrement_units_ += DecrementUnits(visit, current);
     if (current == kUnservedIndex) --unserved_count_;
     current = visit.path_index;
   }

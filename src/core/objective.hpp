@@ -9,9 +9,13 @@
 // ServedState is the incremental evaluation structure used by the greedy
 // algorithms: it tracks, per flow, the best (earliest) deployed path
 // position, so a marginal gain evaluates in O(flows through v) instead of
-// re-scoring the whole instance.
+// re-scoring the whole instance.  Gains and bandwidth are integer sums of
+// r_f * l scaled by (1 - lambda) once, so they do not depend on the order
+// flows are visited in: engine::SolveIncrementalGtp, which sums the same
+// terms per path class, reproduces them bit for bit for every lambda.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -51,8 +55,12 @@ class ServedState {
   bool AllServed() const { return unserved_count_ == 0; }
   FlowId unserved_count() const { return unserved_count_; }
 
-  /// Current total bandwidth consumption.
-  Bandwidth bandwidth() const { return bandwidth_; }
+  /// Current total bandwidth consumption: U - (1 - lambda) * D for the
+  /// integer sums U = sum of r_f * |p_f| and D = sum of r_f * l_v(f).
+  Bandwidth bandwidth() const {
+    return static_cast<Bandwidth>(unprocessed_units_) -
+           one_minus_lambda_ * static_cast<Bandwidth>(decrement_units_);
+  }
 
   /// d_P({v}): bandwidth decrement if a middlebox were added at v.
   /// Does not modify state.  O(|FlowsThrough(v)|).
@@ -62,9 +70,16 @@ class ServedState {
   void Deploy(VertexId v);
 
  private:
+  /// r_f * (l_new - l_old) for moving the visit's flow from serving
+  /// position `current` to the visit's position.
+  std::int64_t DecrementUnits(const Instance::FlowVisit& visit,
+                              std::int32_t current) const;
+
   const Instance* instance_;
+  double one_minus_lambda_;
   std::vector<std::int32_t> best_index_;
-  Bandwidth bandwidth_;
+  std::int64_t unprocessed_units_ = 0;
+  std::int64_t decrement_units_ = 0;
   FlowId unserved_count_;
 };
 

@@ -56,4 +56,15 @@ ChurnTrace BuildChurnTrace(const graph::Digraph& network,
                            std::size_t epochs, std::size_t initial_active,
                            std::uint64_t seed);
 
+/// Resolves every epoch's positional departures to arrival sequence
+/// numbers: 0 .. initial_active - 1 name the flows live before the first
+/// epoch, in their list order, and each epoch's arrivals follow in order.
+/// A replay loop that appends every batch's handles to one
+/// sequence-ordered vector then finds an epoch's departing handles in
+/// O(departures).  Mapping positions against a live list instead costs an
+/// O(active) compaction per epoch, bookkeeping that would run inside the
+/// served (and profiled) loop, outside every trace span.
+std::vector<std::vector<std::size_t>> DepartureSequences(
+    const std::vector<ChurnEpoch>& epochs, std::size_t initial_active);
+
 }  // namespace tdmd::engine

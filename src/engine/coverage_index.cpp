@@ -11,6 +11,17 @@ namespace {
 
 constexpr std::uint32_t kSlotMask32 = 0xFFFFFFFFu;
 
+/// FNV-1a over the path's vertex ids: deterministic (no addresses) and
+/// cheap enough to run once per arrival.
+std::uint64_t HashPath(std::span<const VertexId> path) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (VertexId v : path) {
+    hash ^= static_cast<std::uint32_t>(v);
+    hash *= 0x100000001B3ull;
+  }
+  return hash ^ (hash >> 32);
+}
+
 }  // namespace
 
 FlowTicket FlowCoverageIndex::ComposeTicket(std::uint32_t slot,
@@ -33,54 +44,125 @@ std::uint32_t FlowCoverageIndex::TicketGeneration(FlowTicket ticket) {
 FlowCoverageIndex::FlowCoverageIndex(graph::Digraph network, double lambda)
     : network_(std::move(network)),
       lambda_(lambda),
-      flows_through_(static_cast<std::size_t>(network_.num_vertices())) {
+      classes_through_(static_cast<std::size_t>(network_.num_vertices())) {
   TDMD_CHECK_MSG(lambda >= 0.0 && lambda <= 1.0,
                  "lambda " << lambda << " outside [0, 1] (Section 3.1)");
 }
 
-void FlowCoverageIndex::IndexFlowIntoSlot(std::uint32_t slot,
-                                          traffic::Flow flow) {
-  Slot& entry = slots_[slot];
-  entry.flow = std::move(flow);
-  entry.active = true;
-
-  const std::vector<VertexId>& path = entry.flow.path.vertices;
-  const auto edges = static_cast<std::int32_t>(entry.flow.PathEdges());
-  const auto rate = static_cast<Bandwidth>(entry.flow.rate);
-  entry.visit_pos.assign(path.size(), 0);
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    auto& list = flows_through_[static_cast<std::size_t>(path[i])];
-    entry.visit_pos[i] = static_cast<std::uint32_t>(list.size());
-    list.push_back(Visit{slot, static_cast<std::int32_t>(i), edges, rate});
-    ++stats_.delta_ops;
+std::uint32_t FlowCoverageIndex::FindClass(
+    const std::vector<VertexId>& path) const {
+  if (class_table_.empty()) return kNoClass;
+  const std::size_t mask = class_table_.size() - 1;
+  for (std::size_t i = HashPath(path) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t entry = class_table_[i];
+    if (entry == 0) return kNoClass;
+    const std::span<const VertexId> candidate = ClassPath(entry - 1);
+    if (std::equal(candidate.begin(), candidate.end(), path.begin(),
+                   path.end())) {
+      return entry - 1;
+    }
   }
-
-  const auto [it, inserted] = class_by_path_.try_emplace(
-      path, static_cast<std::uint32_t>(classes_.size()));
-  if (inserted) classes_.push_back(PathClass{path, 0});
-  entry.path_class = it->second;
-  ++classes_[entry.path_class].active_flows;
-
-  ++active_count_;
-  unprocessed_bandwidth_ +=
-      static_cast<Bandwidth>(entry.flow.rate) *
-      static_cast<Bandwidth>(entry.flow.PathEdges());
-  ++stats_.arrivals;
 }
 
-FlowTicket FlowCoverageIndex::AddFlow(traffic::Flow flow) {
-  TDMD_CHECK_MSG(flow.rate > 0, "flow rate must be positive");
-  TDMD_CHECK_MSG(graph::IsSimplePath(network_, flow.path),
-                 "flow path is not a simple path in the network");
-  TDMD_CHECK_MSG(!flow.path.vertices.empty() &&
-                     flow.path.vertices.front() == flow.src &&
-                     flow.path.vertices.back() == flow.dst,
-                 "flow path endpoints disagree with src/dst");
+std::uint32_t FlowCoverageIndex::NewClass(const std::vector<VertexId>& path) {
+  const auto id = static_cast<std::uint32_t>(classes_.size());
+  PathClass cls;
+  cls.offset = static_cast<std::uint32_t>(path_arena_.size());
+  cls.length = static_cast<std::uint32_t>(path.size());
+  classes_.push_back(cls);
+  path_arena_.insert(path_arena_.end(), path.begin(), path.end());
+  visit_pos_.resize(path_arena_.size());
+
+  const auto insert = [this](std::uint32_t c) {
+    const std::size_t mask = class_table_.size() - 1;
+    std::size_t i = HashPath(ClassPath(c)) & mask;
+    while (class_table_[i] != 0) i = (i + 1) & mask;
+    class_table_[i] = c + 1;
+  };
+  // Keep the load factor at or below 1/2; growing rehashes every class.
+  if (2 * classes_.size() > class_table_.size()) {
+    class_table_.assign(std::max<std::size_t>(16, 2 * class_table_.size()),
+                        0);
+    for (std::uint32_t c = 0; c <= id; ++c) insert(c);
+  } else {
+    insert(id);
+  }
+  return id;
+}
+
+void FlowCoverageIndex::LinkClass(std::uint32_t c) {
+  const PathClass& cls = classes_[c];
+  for (std::uint32_t i = 0; i < cls.length; ++i) {
+    const VertexId v = path_arena_[cls.offset + i];
+    auto& list = classes_through_[static_cast<std::size_t>(v)];
+    visit_pos_[cls.offset + i] = static_cast<std::uint32_t>(list.size());
+    list.push_back(Visit{c, static_cast<std::int32_t>(i), cls.edges()});
+  }
+  stats_.delta_ops += cls.length;
+}
+
+void FlowCoverageIndex::UnlinkClass(std::uint32_t c) {
+  const PathClass& cls = classes_[c];
+  for (std::uint32_t i = 0; i < cls.length; ++i) {
+    const VertexId v = path_arena_[cls.offset + i];
+    auto& list = classes_through_[static_cast<std::size_t>(v)];
+    const std::uint32_t pos = visit_pos_[cls.offset + i];
+    TDMD_DCHECK(pos < list.size() && list[pos].path_class == c);
+    const Visit moved = list.back();
+    list[pos] = moved;
+    list.pop_back();
+    if (moved.path_class != c) {
+      // Fix the moved entry's back-pointer: its path_index tells us which
+      // position of its own path this vertex is.
+      visit_pos_[classes_[moved.path_class].offset +
+                 static_cast<std::uint32_t>(moved.path_index)] = pos;
+    }
+  }
+  stats_.delta_ops += cls.length;
+}
+
+void FlowCoverageIndex::IndexFlowIntoSlot(std::uint32_t slot,
+                                          std::uint32_t path_class,
+                                          Rate rate) {
+  Slot& entry = slots_[slot];
+  entry.rate = rate;
+  entry.path_class = path_class;
+
+  PathClass& cls = classes_[path_class];
+  if (cls.active_flows == 0) LinkClass(path_class);
+  ++cls.active_flows;
+  cls.rate_sum += rate;
+
+  ++active_count_;
+  unprocessed_units_ += rate * cls.edges();
+  ++stats_.arrivals;
+  ++stats_.delta_ops;
+}
+
+std::uint32_t FlowCoverageIndex::CheckedClass(const traffic::Flow& flow,
+                                              const char* what) const {
+  TDMD_CHECK_MSG(flow.rate > 0, what << " rate must be positive");
+  const std::vector<VertexId>& path = flow.path.vertices;
+  // A known path already passed the simple-path check when its class was
+  // created, so only a new path pays for it.
+  const std::uint32_t path_class = FindClass(path);
+  TDMD_CHECK_MSG(path_class != kNoClass ||
+                     graph::IsSimplePath(network_, flow.path),
+                 what << " path is not a simple path in the network");
+  TDMD_CHECK_MSG(!path.empty() && path.front() == flow.src &&
+                     path.back() == flow.dst,
+                 what << " path endpoints disagree with src/dst");
+  return path_class;
+}
+
+FlowTicket FlowCoverageIndex::AddFlow(const traffic::Flow& flow) {
+  std::uint32_t path_class = CheckedClass(flow, "flow");
   if (fault_injector_ != nullptr) {
     // Before any mutation: an injected throw leaves the index untouched,
     // so the engine's retry loop can simply call AddFlow again.
     fault_injector_->MaybeInject(faults::FaultSite::kIndexDelta);
   }
+  if (path_class == kNoClass) path_class = NewClass(flow.path.vertices);
 
   std::uint32_t slot = 0;
   if (!free_slots_.empty()) {
@@ -92,18 +174,12 @@ FlowTicket FlowCoverageIndex::AddFlow(traffic::Flow flow) {
   }
   // Generation was bumped at removal time; slot 0 of a fresh index starts
   // at generation 0, which is fine — the ticket is unique while active.
-  IndexFlowIntoSlot(slot, std::move(flow));
+  IndexFlowIntoSlot(slot, path_class, flow.rate);
   return ComposeTicket(slot, slots_[slot].generation);
 }
 
 bool FlowCoverageIndex::RemoveFlow(FlowTicket ticket) {
-  if (ticket < 0) return false;
-  const std::uint32_t slot = TicketSlot(ticket);
-  if (slot >= slots_.size()) return false;
-  Slot& entry = slots_[slot];
-  if (!entry.active || entry.generation != TicketGeneration(ticket)) {
-    return false;
-  }
+  if (LiveSlot(ticket) == nullptr) return false;
   if (fault_injector_ != nullptr) {
     // After the staleness check (stale removals are no-ops, not fault
     // sites) but before any mutation, for the same retry contract as
@@ -111,35 +187,22 @@ bool FlowCoverageIndex::RemoveFlow(FlowTicket ticket) {
     fault_injector_->MaybeInject(faults::FaultSite::kIndexDelta);
   }
 
-  const std::vector<VertexId>& path = entry.flow.path.vertices;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    auto& list = flows_through_[static_cast<std::size_t>(path[i])];
-    const std::uint32_t pos = entry.visit_pos[i];
-    TDMD_DCHECK(pos < list.size() && list[pos].slot == slot);
-    const Visit moved = list.back();
-    list[pos] = moved;
-    list.pop_back();
-    if (moved.slot != slot) {
-      // Fix the moved entry's back-pointer: its path_index tells us which
-      // position of its own path this vertex is.
-      slots_[moved.slot]
-          .visit_pos[static_cast<std::size_t>(moved.path_index)] = pos;
-    }
-    ++stats_.delta_ops;
-  }
+  const std::uint32_t slot = TicketSlot(ticket);
+  Slot& entry = slots_[slot];
+  PathClass& cls = classes_[entry.path_class];
+  TDMD_DCHECK(cls.active_flows > 0);
+  --cls.active_flows;
+  cls.rate_sum -= entry.rate;
+  if (cls.active_flows == 0) UnlinkClass(entry.path_class);
+  unprocessed_units_ -= entry.rate * cls.edges();
 
-  TDMD_DCHECK(classes_[entry.path_class].active_flows > 0);
-  --classes_[entry.path_class].active_flows;
-  unprocessed_bandwidth_ -=
-      static_cast<Bandwidth>(entry.flow.rate) *
-      static_cast<Bandwidth>(entry.flow.PathEdges());
-  entry.active = false;
+  entry.rate = 0;
+  entry.path_class = kNoClass;
   ++entry.generation;  // invalidates outstanding tickets for this slot
-  entry.flow = traffic::Flow{};
-  entry.visit_pos.clear();
   free_slots_.push_back(slot);
   --active_count_;
   ++stats_.departures;
+  ++stats_.delta_ops;
   return true;
 }
 
@@ -165,26 +228,20 @@ void FlowCoverageIndex::RestoreSlots(
   };
 
   for (const SlotRecord& record : active) {
-    const traffic::Flow& flow = record.flow;
-    TDMD_CHECK_MSG(flow.rate > 0, "checkpoint flow rate must be positive");
-    TDMD_CHECK_MSG(graph::IsSimplePath(network_, flow.path),
-                   "checkpoint flow path is not a simple path in the "
-                   "network");
-    TDMD_CHECK_MSG(!flow.path.vertices.empty() &&
-                       flow.path.vertices.front() == flow.src &&
-                       flow.path.vertices.back() == flow.dst,
-                   "checkpoint flow path endpoints disagree with src/dst");
+    std::uint32_t path_class = CheckedClass(record.flow, "checkpoint flow");
     const std::uint32_t slot = claim(record.ticket);
     slots_[slot].generation = TicketGeneration(record.ticket);
-    IndexFlowIntoSlot(slot, flow);
+    if (path_class == kNoClass) {
+      path_class = NewClass(record.flow.path.vertices);
+    }
+    IndexFlowIntoSlot(slot, path_class, record.flow.rate);
   }
-  // stats_.arrivals counted the restored flows as fresh arrivals; the
-  // caller re-seats the counters via RestoreStats afterwards.
+  // stats_ counted the restored flows as fresh arrivals; the caller
+  // re-seats the counters via RestoreStats afterwards.
   free_slots_.reserve(free_slots.size());
   for (FlowTicket ticket : free_slots) {
     const std::uint32_t slot = claim(ticket);
     slots_[slot].generation = TicketGeneration(ticket);
-    slots_[slot].active = false;
     free_slots_.push_back(slot);
   }
 }
@@ -198,27 +255,47 @@ std::vector<FlowTicket> FlowCoverageIndex::FreeSlotTickets() const {
   return tickets;
 }
 
-FlowTicket FlowCoverageIndex::TicketAt(std::uint32_t slot) const {
-  TDMD_CHECK(SlotActive(slot));
-  return ComposeTicket(slot, slots_[slot].generation);
-}
-
-const traffic::Flow* FlowCoverageIndex::Find(FlowTicket ticket) const {
+const FlowCoverageIndex::Slot* FlowCoverageIndex::LiveSlot(
+    FlowTicket ticket) const {
   if (ticket < 0) return nullptr;
   const std::uint32_t slot = TicketSlot(ticket);
   if (slot >= slots_.size()) return nullptr;
   const Slot& entry = slots_[slot];
-  if (!entry.active || entry.generation != TicketGeneration(ticket)) {
+  if (entry.path_class == kNoClass ||
+      entry.generation != TicketGeneration(ticket)) {
     return nullptr;
   }
-  return &entry.flow;
+  return &entry;
+}
+
+std::uint32_t FlowCoverageIndex::ClassOf(FlowTicket ticket) const {
+  const Slot* entry = LiveSlot(ticket);
+  return entry == nullptr ? kNoClass : entry->path_class;
+}
+
+Rate FlowCoverageIndex::RateOf(FlowTicket ticket) const {
+  const Slot* entry = LiveSlot(ticket);
+  TDMD_CHECK_MSG(entry != nullptr, "RateOf on a stale ticket");
+  return entry->rate;
+}
+
+traffic::Flow FlowCoverageIndex::FlowAt(FlowTicket ticket) const {
+  const Slot* entry = LiveSlot(ticket);
+  TDMD_CHECK_MSG(entry != nullptr, "FlowAt on a stale ticket");
+  const std::span<const VertexId> path = ClassPath(entry->path_class);
+  traffic::Flow flow;
+  flow.src = path.front();
+  flow.dst = path.back();
+  flow.rate = entry->rate;
+  flow.path.vertices.assign(path.begin(), path.end());
+  return flow;
 }
 
 std::vector<FlowTicket> FlowCoverageIndex::ActiveTickets() const {
   std::vector<FlowTicket> tickets;
   tickets.reserve(active_count_);
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].active) {
+    if (slots_[slot].path_class != kNoClass) {
       tickets.push_back(ComposeTicket(slot, slots_[slot].generation));
     }
   }
@@ -226,40 +303,24 @@ std::vector<FlowTicket> FlowCoverageIndex::ActiveTickets() const {
 }
 
 std::size_t FlowCoverageIndex::MemoryFootprint() const {
-  // libstdc++/libc++ red-black tree nodes carry three pointers plus a
-  // color word ahead of the payload; 4 * sizeof(void*) is close enough
-  // for the 25% allocator-delta band the tests enforce.
-  constexpr std::size_t kTreeNodeOverhead = 4 * sizeof(void*);
   std::size_t bytes = network_.MemoryFootprint();
-  bytes += flows_through_.capacity() * sizeof(std::vector<Visit>);
-  for (const std::vector<Visit>& visits : flows_through_) {
+  bytes += classes_through_.capacity() * sizeof(std::vector<Visit>);
+  for (const std::vector<Visit>& visits : classes_through_) {
     bytes += visits.capacity() * sizeof(Visit);
   }
   bytes += slots_.capacity() * sizeof(Slot);
-  for (const Slot& slot : slots_) {
-    bytes += slot.flow.path.vertices.capacity() * sizeof(VertexId);
-    bytes += slot.visit_pos.capacity() * sizeof(std::uint32_t);
-  }
   bytes += free_slots_.capacity() * sizeof(std::uint32_t);
   bytes += classes_.capacity() * sizeof(PathClass);
-  for (const PathClass& path_class : classes_) {
-    bytes += path_class.vertices.capacity() * sizeof(VertexId);
-  }
-  for (const auto& [path, class_id] : class_by_path_) {
-    (void)class_id;
-    bytes += kTreeNodeOverhead +
-             sizeof(std::pair<const std::vector<VertexId>, std::uint32_t>) +
-             path.capacity() * sizeof(VertexId);
-  }
+  bytes += path_arena_.capacity() * sizeof(VertexId);
+  bytes += visit_pos_.capacity() * sizeof(std::uint32_t);
+  bytes += class_table_.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 
 core::Instance FlowCoverageIndex::BuildInstance() const {
   traffic::FlowSet flows;
   flows.reserve(active_count_);
-  for (const Slot& entry : slots_) {
-    if (entry.active) flows.push_back(entry.flow);
-  }
+  for (FlowTicket ticket : ActiveTickets()) flows.push_back(FlowAt(ticket));
   return core::Instance(network_, std::move(flows), lambda_);
 }
 

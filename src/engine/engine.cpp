@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 #include <utility>
 
 #include "analysis/audit.hpp"
@@ -22,20 +23,20 @@ struct FlowEval {
 
 /// One flow's term of b(P, F) under the forced nearest-source allocation,
 /// plus whether any deployed vertex lies on its path.  O(|p|).
-FlowEval EvaluateFlow(const traffic::Flow& flow,
+FlowEval EvaluateFlow(std::span<const VertexId> path, Rate rate,
                       const core::Deployment& deployment, double lambda) {
-  const auto edges = static_cast<Bandwidth>(flow.PathEdges());
+  const auto edges = static_cast<Bandwidth>(path.size() - 1);
   FlowEval eval;
   Bandwidth diminished = 0.0;
-  for (std::size_t i = 0; i < flow.path.vertices.size(); ++i) {
-    if (deployment.Contains(flow.path.vertices[i])) {
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (deployment.Contains(path[i])) {
       diminished = edges - static_cast<Bandwidth>(i);
       eval.covered = true;
       break;
     }
   }
-  eval.contribution = static_cast<Bandwidth>(flow.rate) *
-                      (edges - (1.0 - lambda) * diminished);
+  eval.contribution =
+      static_cast<Bandwidth>(rate) * (edges - (1.0 - lambda) * diminished);
   return eval;
 }
 
@@ -128,8 +129,8 @@ Engine::BatchResult Engine::SubmitBatch(
                                departures.size() + arrivals.size());
     obs::ScopedHistogramTimer delta_timer(&histograms_.index_delta_ns);
     for (FlowTicket ticket : departures) {
-      const traffic::Flow* flow = index_.Find(ticket);
-      if (flow == nullptr) {
+      const std::uint32_t path_class = index_.ClassOf(ticket);
+      if (path_class == FlowCoverageIndex::kNoClass) {
         // Duplicate, already-departed or never-issued ticket: a counted
         // no-op, so departure submission is idempotent.
         ++stats_.stale_departures;
@@ -139,7 +140,9 @@ Engine::BatchResult Engine::SubmitBatch(
       // injected throw leaves both the index and the maintained objective
       // untouched, and the two are only updated together once it succeeds.
       const Bandwidth contribution =
-          EvaluateFlow(*flow, deployment_, options_.lambda).contribution;
+          EvaluateFlow(index_.ClassPath(path_class), index_.RateOf(ticket),
+                       deployment_, options_.lambda)
+              .contribution;
       RetryIndexDeltaLocked(
           [&]() TDMD_REQUIRES(state_mu_) { index_.RemoveFlow(ticket); });
       maintained_bandwidth_ -= contribution;
@@ -153,8 +156,8 @@ Engine::BatchResult Engine::SubmitBatch(
           });
       result.tickets.push_back(ticket);
       ++stats_.arrivals;
-      const FlowEval eval =
-          EvaluateFlow(flow, deployment_, options_.lambda);
+      const FlowEval eval = EvaluateFlow(flow.path.vertices, flow.rate,
+                                         deployment_, options_.lambda);
       maintained_bandwidth_ += eval.contribution;
       if (options_.quality_sampling) {
         // The arrival can add at most rate * (1 - lambda) * |p| to any
@@ -227,39 +230,55 @@ bool Engine::ResolveDueLocked() const {
 }
 
 std::size_t Engine::PatchFeasibilityLocked() {
+  const FlowCoverageIndex& index = index_;
+  const core::Deployment& deployment = deployment_;
+  const auto unserved_class = [&](FlowTicket ticket) {
+    const std::uint32_t path_class = index.ClassOf(ticket);
+    return path_class != FlowCoverageIndex::kNoClass &&
+           ServingIndex(index, path_class, deployment) ==
+               core::kUnservedIndex;
+  };
   // Refresh the uncovered list: drop tickets that departed or gained
-  // coverage since they were recorded.  O(|uncovered|), not O(|F|).
-  std::vector<FlowTicket> unserved;
-  for (FlowTicket ticket : uncovered_) {
-    const traffic::Flow* flow = index_.Find(ticket);
-    if (flow == nullptr) continue;
-    bool served = false;
-    for (VertexId v : flow->path.vertices) {
-      if (deployment_.Contains(v)) {
-        served = true;
-        break;
-      }
-    }
-    if (!served) unserved.push_back(ticket);
+  // coverage since they were recorded.  O(|uncovered| * |p|), not O(|F|).
+  std::erase_if(uncovered_, [&](FlowTicket t) { return !unserved_class(t); });
+  if (uncovered_.empty()) {
+    maintained_feasible_ = true;
+    return 0;
   }
 
   // Greedy cover with spare budget: repeatedly deploy the vertex covering
-  // the most unserved flows (ties toward the lowest id).
+  // the most unserved flows (ties toward the lowest id).  Flows of one
+  // class are served together, so the cover runs over the unserved
+  // classes weighted by their unserved-flow counts; no vertex on their
+  // paths is deployed while they stay on the list.
+  struct UnservedClass {
+    std::uint32_t path_class;
+    std::size_t flows;
+  };
+  std::vector<UnservedClass> classes;
+  std::vector<std::uint32_t> position(index.num_path_classes(),
+                                      FlowCoverageIndex::kNoClass);
+  for (FlowTicket ticket : uncovered_) {
+    const std::uint32_t path_class = index.ClassOf(ticket);
+    if (position[path_class] == FlowCoverageIndex::kNoClass) {
+      position[path_class] = static_cast<std::uint32_t>(classes.size());
+      classes.push_back(UnservedClass{path_class, 0});
+    }
+    ++classes[position[path_class]].flows;
+  }
   std::size_t added = 0;
   std::vector<std::size_t> cover(
-      static_cast<std::size_t>(index_.num_vertices()));
-  while (!unserved.empty() && deployment_.size() < budget_k_) {
+      static_cast<std::size_t>(index.num_vertices()));
+  while (!classes.empty() && deployment_.size() < budget_k_) {
     std::fill(cover.begin(), cover.end(), 0);
-    for (FlowTicket ticket : unserved) {
-      for (VertexId v : index_.Find(ticket)->path.vertices) {
-        if (!deployment_.Contains(v)) {
-          ++cover[static_cast<std::size_t>(v)];
-        }
+    for (const UnservedClass& entry : classes) {
+      for (VertexId v : index.ClassPath(entry.path_class)) {
+        cover[static_cast<std::size_t>(v)] += entry.flows;
       }
     }
     VertexId best = kInvalidVertex;
     std::size_t best_cover = 0;
-    for (VertexId v = 0; v < index_.num_vertices(); ++v) {
+    for (VertexId v = 0; v < index.num_vertices(); ++v) {
       if (cover[static_cast<std::size_t>(v)] > best_cover) {
         best = v;
         best_cover = cover[static_cast<std::size_t>(v)];
@@ -267,44 +286,21 @@ std::size_t Engine::PatchFeasibilityLocked() {
     }
     if (best == kInvalidVertex) break;  // remaining flows are uncoverable
     if (options_.quality_sampling) {
-      // Attribute the patch box its marginal decrement at deploy time,
-      // mirroring SlotServedState::MarginalDecrement over the live index
-      // (the CELF chosen gain is the same quantity for adopted solves).
-      Bandwidth marginal = 0.0;
-      const double one_minus_lambda = 1.0 - options_.lambda;
-      for (const FlowCoverageIndex::Visit& visit :
-           index_.FlowsThrough(best)) {
-        const traffic::Flow& flow = index_.FlowAt(visit.slot);
-        std::int32_t current = core::kUnservedIndex;
-        for (std::size_t i = 0; i < flow.path.vertices.size(); ++i) {
-          if (deployment_.Contains(flow.path.vertices[i])) {
-            current = static_cast<std::int32_t>(i);
-            break;
-          }
-        }
-        if (visit.path_index >= current) continue;  // no improvement
-        const std::int32_t new_l = visit.edges - visit.path_index;
-        const std::int32_t old_l =
-            current == core::kUnservedIndex ? 0 : visit.edges - current;
-        marginal += visit.rate * one_minus_lambda *
-                    static_cast<Bandwidth>(new_l - old_l);
-      }
-      quality_attribution_.push_back(
-          obs::VertexAttribution{best, marginal});
+      // Attribute the patch box its marginal decrement at deploy time, in
+      // the solver's gain arithmetic (the CELF chosen gain is the same
+      // quantity for adopted solves).
+      quality_attribution_.push_back(obs::VertexAttribution{
+          best, MarginalDecrement(index, deployment, best)});
     }
     deployment_.Add(best);
     ++added;
-    unserved.erase(
-        std::remove_if(unserved.begin(), unserved.end(),
-                       [&](FlowTicket ticket) TDMD_REQUIRES(state_mu_) {
-                         const auto& vertices =
-                             index_.Find(ticket)->path.vertices;
-                         return std::find(vertices.begin(), vertices.end(),
-                                          best) != vertices.end();
-                       }),
-        unserved.end());
+    std::erase_if(classes, [&](const UnservedClass& entry) {
+      const std::span<const VertexId> path = index.ClassPath(entry.path_class);
+      return std::find(path.begin(), path.end(), best) != path.end();
+    });
   }
-  uncovered_ = std::move(unserved);  // only the uncoverable remainder
+  // Only the uncoverable remainder stays, in maintenance order.
+  std::erase_if(uncovered_, [&](FlowTicket t) { return !unserved_class(t); });
   maintained_feasible_ = uncovered_.empty();
   return added;
 }
@@ -749,7 +745,7 @@ EngineCheckpoint Engine::Checkpoint() const {
   checkpoint.active_flows.reserve(tickets.size());
   for (FlowTicket ticket : tickets) {
     checkpoint.active_flows.push_back(
-        EngineCheckpoint::ActiveFlow{ticket, *index_.Find(ticket)});
+        EngineCheckpoint::ActiveFlow{ticket, index_.FlowAt(ticket)});
   }
   checkpoint.free_slots = index_.FreeSlotTickets();
   checkpoint.patch_histogram = histograms_.patch_ns.Snapshot();

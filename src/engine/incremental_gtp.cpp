@@ -3,6 +3,7 @@
 #include "engine/incremental_gtp.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "analysis/audit.hpp"
@@ -14,61 +15,66 @@ namespace tdmd::engine {
 
 namespace {
 
-/// Per-slot serving state: the engine-side counterpart of
+/// rate_sum * (l_new - l_old): the integer decrement of moving the visit's
+/// class from serving position `current` to the visit's position.
+std::int64_t DecrementUnits(const FlowCoverageIndex& index,
+                            const FlowCoverageIndex::Visit& visit,
+                            std::int32_t current) {
+  const std::int32_t new_l = visit.edges - visit.path_index;
+  const std::int32_t old_l =
+      current == core::kUnservedIndex ? 0 : visit.edges - current;
+  return index.PathClassAt(visit.path_class).rate_sum * (new_l - old_l);
+}
+
+/// Per-class serving state: the engine-side counterpart of
 /// core::ServedState, reading the coverage index instead of an Instance.
-/// Same arithmetic, so gains match batch GTP's bit for bit whenever the
-/// per-flow terms are exactly representable (integral rates, dyadic
-/// lambda) and to rounding order otherwise.
-class SlotServedState {
+/// Both sum rate * delta-l as exact integers and scale by (1 - lambda)
+/// once, and integer sums do not depend on order, so a class's summed
+/// rate contributes exactly what its flows contribute one by one: gains
+/// and bandwidth match batch GTP's bit for bit for every lambda.
+class ClassServedState {
  public:
-  explicit SlotServedState(const FlowCoverageIndex& index)
+  explicit ClassServedState(const FlowCoverageIndex& index)
       : index_(&index),
-        best_index_(index.num_slots(), core::kUnservedIndex),
-        bandwidth_(index.unprocessed_bandwidth()),
+        one_minus_lambda_(1.0 - index.lambda()),
+        best_index_(index.num_path_classes(), core::kUnservedIndex),
         unserved_count_(index.active_flows()) {}
 
   bool AllServed() const { return unserved_count_ == 0; }
-  Bandwidth bandwidth() const { return bandwidth_; }
+  Bandwidth bandwidth() const {
+    return static_cast<Bandwidth>(index_->unprocessed_units()) -
+           one_minus_lambda_ * static_cast<Bandwidth>(decrement_units_);
+  }
 
-  // The gain loops read only the Visit entries (rate and edges are
-  // denormalized into them), so each candidate's evaluation streams one
-  // contiguous vector — no FlowAt(slot) dereference per visit.  The
-  // arithmetic is expression-for-expression the batch solver's, so the
-  // bit-exactness claim above is unaffected.
+  // The gain loops stream one Visit per (vertex, live class) and read the
+  // class record only for its rate sum.
   Bandwidth MarginalDecrement(VertexId v) const {
-    Bandwidth gain = 0.0;
-    const double one_minus_lambda = 1.0 - index_->lambda();
-    for (const FlowCoverageIndex::Visit& visit : index_->FlowsThrough(v)) {
-      const std::int32_t current = best_index_[visit.slot];
+    std::int64_t units = 0;
+    for (const FlowCoverageIndex::Visit& visit : index_->ClassesThrough(v)) {
+      const std::int32_t current = best_index_[visit.path_class];
       if (visit.path_index >= current) continue;  // no improvement
-      const std::int32_t new_l = visit.edges - visit.path_index;
-      const std::int32_t old_l =
-          current == core::kUnservedIndex ? 0 : visit.edges - current;
-      gain += visit.rate * one_minus_lambda *
-              static_cast<Bandwidth>(new_l - old_l);
+      units += DecrementUnits(*index_, visit, current);
     }
-    return gain;
+    return one_minus_lambda_ * static_cast<Bandwidth>(units);
   }
 
   void Deploy(VertexId v) {
-    const double one_minus_lambda = 1.0 - index_->lambda();
-    for (const FlowCoverageIndex::Visit& visit : index_->FlowsThrough(v)) {
-      std::int32_t& current = best_index_[visit.slot];
+    for (const FlowCoverageIndex::Visit& visit : index_->ClassesThrough(v)) {
+      std::int32_t& current = best_index_[visit.path_class];
       if (visit.path_index >= current) continue;
-      const std::int32_t new_l = visit.edges - visit.path_index;
-      const std::int32_t old_l =
-          current == core::kUnservedIndex ? 0 : visit.edges - current;
-      bandwidth_ -= visit.rate * one_minus_lambda *
-                    static_cast<Bandwidth>(new_l - old_l);
-      if (current == core::kUnservedIndex) --unserved_count_;
+      decrement_units_ += DecrementUnits(*index_, visit, current);
+      if (current == core::kUnservedIndex) {
+        unserved_count_ -= index_->PathClassAt(visit.path_class).active_flows;
+      }
       current = visit.path_index;
     }
   }
 
  private:
   const FlowCoverageIndex* index_;
+  double one_minus_lambda_;
   std::vector<std::int32_t> best_index_;
-  Bandwidth bandwidth_;
+  std::int64_t decrement_units_ = 0;
   std::size_t unserved_count_;
 };
 
@@ -120,17 +126,12 @@ class FeasibilityProbe {
     base_residual_ = 0;
     for (std::uint32_t c = 0; c < num_classes; ++c) {
       const FlowCoverageIndex::PathClass& cls = index_->PathClassAt(c);
-      if (cls.active_flows == 0) continue;
-      bool served = false;
-      for (VertexId v : cls.vertices) {
-        if (deployment.Contains(v)) {
-          served = true;
-          break;
-        }
+      if (cls.active_flows == 0 ||
+          ServingIndex(*index_, c, deployment) != core::kUnservedIndex) {
+        continue;
       }
-      if (served) continue;
       base_residual_ += cls.active_flows;
-      for (VertexId v : cls.vertices) {
+      for (VertexId v : index_->ClassPath(c)) {
         base_count_[static_cast<std::size_t>(v)] += cls.active_flows;
         classes_through_[static_cast<std::size_t>(v)].push_back(c);
       }
@@ -173,10 +174,10 @@ class FeasibilityProbe {
     for (std::uint32_t c : classes_through_[static_cast<std::size_t>(v)]) {
       if (covered_stamp_[c] == probe_) continue;
       covered_stamp_[c] = probe_;
-      const FlowCoverageIndex::PathClass& cls = index_->PathClassAt(c);
-      *residual -= cls.active_flows;
-      for (VertexId u : cls.vertices) {
-        count_[static_cast<std::size_t>(u)] -= cls.active_flows;
+      const std::size_t flows = index_->PathClassAt(c).active_flows;
+      *residual -= flows;
+      for (VertexId u : index_->ClassPath(c)) {
+        count_[static_cast<std::size_t>(u)] -= flows;
       }
     }
   }
@@ -200,7 +201,7 @@ IncrementalGtpResult SolveIncrementalGtp(
     const FlowCoverageIndex& index, const IncrementalGtpOptions& options) {
   IncrementalGtpResult result;
   result.deployment = core::Deployment(index.num_vertices());
-  SlotServedState state(index);
+  ClassServedState state(index);
   FeasibilityProbe probe(index);
 
   const auto num_vertices = static_cast<std::size_t>(index.num_vertices());
@@ -317,44 +318,39 @@ IncrementalGtpResult SolveIncrementalGtp(
   return result;
 }
 
-Bandwidth EvaluateBandwidth(const FlowCoverageIndex& index,
-                            const core::Deployment& deployment) {
-  Bandwidth total = 0.0;
-  const double one_minus_lambda = 1.0 - index.lambda();
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(index.num_slots()); ++slot) {
-    if (!index.SlotActive(slot)) continue;
-    const traffic::Flow& flow = index.FlowAt(slot);
-    const auto edges = static_cast<Bandwidth>(flow.PathEdges());
-    Bandwidth diminished = 0.0;
-    for (std::size_t i = 0; i < flow.path.vertices.size(); ++i) {
-      if (deployment.Contains(flow.path.vertices[i])) {
-        diminished = edges - static_cast<Bandwidth>(i);
-        break;
-      }
-    }
-    total += static_cast<Bandwidth>(flow.rate) *
-             (edges - one_minus_lambda * diminished);
+std::int32_t ServingIndex(const FlowCoverageIndex& index, std::size_t c,
+                          const core::Deployment& deployment) {
+  const std::span<const VertexId> path = index.ClassPath(c);
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (deployment.Contains(path[i])) return static_cast<std::int32_t>(i);
   }
-  return total;
+  return core::kUnservedIndex;
 }
 
-bool IsFeasible(const FlowCoverageIndex& index,
-                const core::Deployment& deployment) {
-  for (std::uint32_t slot = 0;
-       slot < static_cast<std::uint32_t>(index.num_slots()); ++slot) {
-    if (!index.SlotActive(slot)) continue;
-    const traffic::Flow& flow = index.FlowAt(slot);
-    bool served = false;
-    for (VertexId v : flow.path.vertices) {
-      if (deployment.Contains(v)) {
-        served = true;
-        break;
-      }
-    }
-    if (!served) return false;
+Bandwidth MarginalDecrement(const FlowCoverageIndex& index,
+                            const core::Deployment& deployment, VertexId v) {
+  std::int64_t units = 0;
+  for (const FlowCoverageIndex::Visit& visit : index.ClassesThrough(v)) {
+    const std::int32_t current =
+        ServingIndex(index, visit.path_class, deployment);
+    if (visit.path_index >= current) continue;  // no improvement
+    units += DecrementUnits(index, visit, current);
   }
-  return true;
+  return (1.0 - index.lambda()) * static_cast<Bandwidth>(units);
+}
+
+Bandwidth EvaluateBandwidth(const FlowCoverageIndex& index,
+                            const core::Deployment& deployment) {
+  std::int64_t decrement_units = 0;
+  for (std::size_t c = 0; c < index.num_path_classes(); ++c) {
+    const FlowCoverageIndex::PathClass& cls = index.PathClassAt(c);
+    if (cls.active_flows == 0) continue;
+    const std::int32_t serving = ServingIndex(index, c, deployment);
+    if (serving == core::kUnservedIndex) continue;
+    decrement_units += cls.rate_sum * (cls.edges() - serving);
+  }
+  return static_cast<Bandwidth>(index.unprocessed_units()) -
+         (1.0 - index.lambda()) * static_cast<Bandwidth>(decrement_units);
 }
 
 }  // namespace tdmd::engine

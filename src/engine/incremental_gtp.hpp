@@ -6,8 +6,9 @@
 // matter online:
 //
 //   * No instance rebuild.  The gain oracle reads the index's reverse
-//     vertex -> flows lists, so a re-solve costs O(evaluated gains), not
-//     O(|F| * |V|) table construction up front.
+//     vertex -> path-class lists, so a re-solve costs O(evaluated gains)
+//     at one visit per (vertex, class), not O(|F| * |V|) table
+//     construction up front.
 //   * Lazy (CELF) evaluation via core::CelfQueue — the *same* selection
 //     code batch GTP's lazy mode runs, so the chosen deployment and final
 //     b(P) are exactly those of batch GTP under the identical
@@ -20,6 +21,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -98,12 +100,22 @@ IncrementalGtpResult SolveIncrementalGtp(
 
 /// Bandwidth b(P) of `deployment` for the index's current flow set under
 /// the forced nearest-source allocation; unserved flows pay full rate.
-/// O(sum of path lengths).
+/// Computed as U - (1 - lambda) * D from the integer sums U = sum of
+/// r_f * |p_f| and D = sum of r_f * l_v(f), so it is exactly the solver's
+/// b(P) for the same deployment.  O(sum of distinct live path lengths).
 Bandwidth EvaluateBandwidth(const FlowCoverageIndex& index,
                             const core::Deployment& deployment);
 
-/// True iff every active flow has a deployed vertex on its path.
-bool IsFeasible(const FlowCoverageIndex& index,
-                const core::Deployment& deployment);
+/// Path position of the first deployed vertex on class c's path (the
+/// forced nearest-source server of all its flows), or
+/// core::kUnservedIndex.  O(|p|).
+std::int32_t ServingIndex(const FlowCoverageIndex& index, std::size_t c,
+                          const core::Deployment& deployment);
+
+/// d_P({v}): the bandwidth decrement a middlebox at v would add to
+/// `deployment`, in the solver's gain arithmetic (one integer sum over the
+/// live classes through v, scaled by (1 - lambda) once).
+Bandwidth MarginalDecrement(const FlowCoverageIndex& index,
+                            const core::Deployment& deployment, VertexId v);
 
 }  // namespace tdmd::engine

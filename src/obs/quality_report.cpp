@@ -19,6 +19,36 @@ QualityReport Fail(const std::string& error) {
   return report;
 }
 
+/// One series: the summary (its first line prefixed by `label`), the
+/// alert list and the epoch/ratio rows.
+void WriteQualitySeries(std::ostream& os, const QualityReport& report,
+                        const char* label) {
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "quality: %s%zu samples, %zu alert events, floor %.4f\n",
+                label, report.num_samples, report.num_alert_events,
+                kQualityRatioFloor);
+  os << line;
+  std::snprintf(line, sizeof(line),
+                "ratio: min %.4f mean %.4f last %.4f, %zu below floor\n",
+                report.min_ratio, report.mean_ratio, report.last_ratio,
+                report.below_floor);
+  os << line;
+  for (const QualityReportAlertRow& row : report.alerts) {
+    std::snprintf(line, sizeof(line), "alert %-30s %-7s epoch %llu\n",
+                  row.kind.c_str(), row.raised ? "RAISED" : "cleared",
+                  static_cast<unsigned long long>(row.epoch));
+    os << line;
+  }
+  for (const QualityReportPoint& point : report.points) {
+    std::snprintf(line, sizeof(line), "epoch %6llu ratio %.4f %s\n",
+                  static_cast<unsigned long long>(point.epoch),
+                  point.ratio,
+                  point.ratio < kQualityRatioFloor ? "<floor" : "");
+    os << line;
+  }
+}
+
 }  // namespace
 
 QualityReport SummarizeQuality(std::vector<QualityReportPoint> points,
@@ -45,6 +75,13 @@ QualityReport SummarizeQuality(std::vector<QualityReportPoint> points,
 }
 
 QualityReport BuildQualityReport(const ChromeTrace& trace) {
+  // One series per track, in first-seen order.
+  struct Track {
+    double tid = 0.0;
+    std::vector<QualityReportPoint> points;
+    std::vector<QualityReportAlertRow> alerts;
+  };
+  std::vector<Track> tracks;
   std::vector<QualityReportPoint> points;
   std::vector<QualityReportAlertRow> alerts;
   for (const ChromeTraceEvent& event : trace.events) {
@@ -55,10 +92,18 @@ QualityReport BuildQualityReport(const ChromeTrace& trace) {
       return Fail("quality event missing args.arg: " + event.name +
                   " at ts " + std::to_string(event.ts_us) + " us");
     }
+    auto track = std::find_if(
+        tracks.begin(), tracks.end(),
+        [&](const Track& t) { return t.tid == event.tid; });
+    if (track == tracks.end()) {
+      tracks.push_back(Track{event.tid, {}, {}});
+      track = tracks.end() - 1;
+    }
     if (event.name == "quality-sample") {
       QualityReportPoint point;
       UnpackQualitySampleArg(event.arg, &point.epoch, &point.ratio);
       points.push_back(point);
+      track->points.push_back(point);
     } else {
       QualityAlert alert;
       if (!UnpackQualityAlertArg(event.arg, &alert)) {
@@ -68,6 +113,7 @@ QualityReport BuildQualityReport(const ChromeTrace& trace) {
       }
       alerts.push_back(QualityReportAlertRow{
           QualityAlertKindName(alert.kind), alert.raised, alert.epoch});
+      track->alerts.push_back(alerts.back());
     }
   }
   if (points.empty()) {
@@ -75,33 +121,27 @@ QualityReport BuildQualityReport(const ChromeTrace& trace) {
         "trace contains no quality-sample events — was the serve traced "
         "with quality sampling enabled?");
   }
-  return SummarizeQuality(std::move(points), std::move(alerts));
+  QualityReport report =
+      SummarizeQuality(std::move(points), std::move(alerts));
+  if (tracks.size() > 1) {
+    for (Track& track : tracks) {
+      report.tracks.push_back(
+          SummarizeQuality(std::move(track.points), std::move(track.alerts)));
+      report.tracks.back().tid = track.tid;
+    }
+  }
+  return report;
 }
 
 void WriteQualityReport(std::ostream& os, const QualityReport& report) {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "quality: %zu samples, %zu alert events, floor %.4f\n",
-                report.num_samples, report.num_alert_events,
-                kQualityRatioFloor);
-  os << line;
-  std::snprintf(line, sizeof(line),
-                "ratio: min %.4f mean %.4f last %.4f, %zu below floor\n",
-                report.min_ratio, report.mean_ratio, report.last_ratio,
-                report.below_floor);
-  os << line;
-  for (const QualityReportAlertRow& row : report.alerts) {
-    std::snprintf(line, sizeof(line), "alert %-30s %-7s epoch %llu\n",
-                  row.kind.c_str(), row.raised ? "RAISED" : "cleared",
-                  static_cast<unsigned long long>(row.epoch));
-    os << line;
+  if (report.tracks.empty()) {
+    WriteQualitySeries(os, report, "");
+    return;
   }
-  for (const QualityReportPoint& point : report.points) {
-    std::snprintf(line, sizeof(line), "epoch %6llu ratio %.4f %s\n",
-                  static_cast<unsigned long long>(point.epoch),
-                  point.ratio,
-                  point.ratio < kQualityRatioFloor ? "<floor" : "");
-    os << line;
+  for (const QualityReport& track : report.tracks) {
+    char label[48];
+    std::snprintf(label, sizeof(label), "track %.0f, ", track.tid);
+    WriteQualitySeries(os, track, label);
   }
 }
 

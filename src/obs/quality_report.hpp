@@ -6,7 +6,9 @@
 // kQualityAlert instant per alert edge, each with a packed arg
 // (obs/timeseries.hpp).  BuildQualityReport decodes them from a trace
 // read by ReadChromeTrace and rebuilds the epoch/ratio series and the
-// fired alerts — the quality section of `tdmd_cli report --trace`.
+// fired alerts — the quality section of `tdmd_cli report --trace`.  Each
+// engine publishes from its own thread, so a shard fleet's trace holds
+// one series per track (tid); those are summarized track by track.
 // serve-trace --quality-out renders the engine's own timeline through
 // the same SummarizeQuality + WriteQualityReport pair.
 
@@ -43,6 +45,14 @@ struct QualityReport {
   double last_ratio = 0.0;
   std::vector<QualityReportPoint> points;    // trace order
   std::vector<QualityReportAlertRow> alerts;  // trace order
+  /// The trace track (tid) the series came from, when it is one of
+  /// several.
+  double tid = 0.0;
+  /// One report per publishing track, in first-seen order, when the trace
+  /// holds more than one (a shard fleet: every shard engine publishes
+  /// from its worker thread); empty for a single track.  The fields above
+  /// then summarize all tracks together.
+  std::vector<QualityReport> tracks;
 };
 
 /// Builds an ok report from an epoch/ratio series and its alert edges:
@@ -54,7 +64,9 @@ QualityReport SummarizeQuality(std::vector<QualityReportPoint> points,
 /// unknown kind, and on traces carrying no quality-sample events.
 QualityReport BuildQualityReport(const ChromeTrace& trace);
 
-/// Prints the summary, the alert list and the epoch/ratio series.
+/// Prints the summary, the alert list and the epoch/ratio series — once
+/// per track, each summary line reading `quality: track <tid>, ...`, when
+/// the report has tracks.
 void WriteQualityReport(std::ostream& os, const QualityReport& report);
 
 }  // namespace tdmd::obs

@@ -807,7 +807,7 @@ FleetSnapshot ShardedEngine::Snapshot() {
       if (!snapshot.deployment.Contains(v)) snapshot.deployment.Add(v);
     }
     for (const engine::FlowTicket ticket : eng.index().ActiveTickets()) {
-      all_flows.push_back(*eng.index().Find(ticket));
+      all_flows.push_back(eng.index().FlowAt(ticket));
     }
     snapshot.shards.push_back(std::move(status));
   }

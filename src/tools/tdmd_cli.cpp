@@ -361,30 +361,6 @@ struct ShardedServeParams {
   std::uint32_t prof_hz = obs::Profiler::kDefaultSampleHz;
 };
 
-/// Removes `positions` (indices into the pre-arrival `active` list, the
-/// DynamicPlacer positional-departure convention) in one compaction
-/// pass, returning the removed ids in position order.  The naive
-/// per-position erase is quadratic in the active count, and that CPU
-/// lands outside every trace span — it used to dominate profiled serve
-/// runs as unattributed samples.
-template <typename Id>
-std::vector<Id> TakeDepartures(std::vector<Id>& active,
-                               const std::vector<std::size_t>& positions) {
-  std::vector<Id> departing;
-  departing.reserve(positions.size());
-  std::vector<bool> leaving(active.size(), false);
-  for (std::size_t position : positions) {
-    departing.push_back(active[position]);
-    leaving[position] = true;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (!leaving[i]) active[kept++] = active[i];
-  }
-  active.resize(kept);
-  return departing;
-}
-
 /// Uninstalls the profiler, drains its rings and writes the collapsed
 /// stacks (shared by the single-engine and sharded serve-trace paths).
 void FinishProfile(obs::Profiler& profiler, const std::string& prof_out) {
@@ -479,31 +455,33 @@ int ServeTraceSharded(const core::Instance& inst,
   }
   shard::ShardedEngine fleet(inst.network(), options);
 
-  std::vector<shard::FlowId64> active;
+  // Every flow's id in arrival-sequence order (DepartureSequences'
+  // numbering); departed entries stay in place.
+  std::vector<shard::FlowId64> handles;
   if (!params.restore.empty()) {
     auto checkpoint = shard::ReadFleetCheckpointFile(params.restore);
     if (!checkpoint.ok()) Die(checkpoint.error);
     fleet.Restore(*checkpoint.value);
-    active.reserve(checkpoint.value->flows.size());
+    handles.reserve(checkpoint.value->flows.size());
     for (const shard::FleetCheckpoint::FlowEntry& entry :
          checkpoint.value->flows) {
-      active.push_back(entry.id);
+      handles.push_back(entry.id);
     }
     std::printf("restored %s: fleet epoch %llu, %zu active flows, "
                 "%zu shards\n",
                 params.restore.c_str(),
                 static_cast<unsigned long long>(checkpoint.value->epoch),
-                active.size(), checkpoint.value->num_shards);
+                handles.size(), checkpoint.value->num_shards);
   } else {
     traffic::FlowSet prefill;
     prefill.reserve(static_cast<std::size_t>(inst.num_flows()));
     for (FlowId f = 0; f < inst.num_flows(); ++f) {
       prefill.push_back(inst.flow(f));
     }
-    active = fleet.SubmitBatch(prefill, {}).flow_ids;
+    handles = fleet.SubmitBatch(prefill, {}).flow_ids;
     std::printf("epoch %3llu  +%-4zu -0    active %zu\n",
                 static_cast<unsigned long long>(1), prefill.size(),
-                active.size());
+                handles.size());
   }
 
   core::ChurnModel churn;
@@ -511,7 +489,7 @@ int ServeTraceSharded(const core::Instance& inst,
   churn.departure_probability = params.departure_probability;
   const engine::ChurnTrace trace =
       engine::BuildChurnTrace(inst.network(), churn, params.epochs,
-                              active.size(), params.seed);
+                              handles.size(), params.seed);
 
   const auto write_checkpoint = [&]() {
     if (!shard::WriteFleetCheckpointFile(params.checkpoint_out,
@@ -524,11 +502,16 @@ int ServeTraceSharded(const core::Instance& inst,
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
   // unattributed noise in the profile report).
+  const std::vector<std::vector<std::size_t>> departures =
+      engine::DepartureSequences(trace.epochs, handles.size());
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
+  std::vector<shard::FlowId64> departing;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<shard::FlowId64> departing =
-        TakeDepartures(active, epoch.departures);
+    departing.clear();
+    for (std::size_t sequence : departures[epochs_served]) {
+      departing.push_back(handles[sequence]);
+    }
     if (params.kill_shard_at != 0 &&
         epochs_served + 1 == params.kill_shard_at) {
       const std::size_t victim = params.kill_shard % params.shards;
@@ -538,8 +521,8 @@ int ServeTraceSharded(const core::Instance& inst,
     }
     const shard::ShardedEngine::BatchResult batch =
         fleet.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), batch.flow_ids.begin(),
-                  batch.flow_ids.end());
+    handles.insert(handles.end(), batch.flow_ids.begin(),
+                   batch.flow_ids.end());
     ++epochs_served;
     if (params.checkpoint_every > 0 &&
         epochs_served % params.checkpoint_every == 0) {
@@ -811,7 +794,9 @@ int ServeTrace(int argc, char** argv) {
                 static_cast<unsigned long long>(snapshot->version));
   };
 
-  std::vector<engine::FlowTicket> active;
+  // Every flow's ticket in arrival-sequence order (DepartureSequences'
+  // numbering); departed entries stay in place.
+  std::vector<engine::FlowTicket> handles;
   if (!restore->empty()) {
     // Resume from a checkpoint instead of replaying the prefill batch.
     auto checkpoint = io::ReadEngineCheckpointFile(*restore);
@@ -830,13 +815,13 @@ int ServeTrace(int argc, char** argv) {
           std::to_string(inst.num_vertices()));
     }
     eng.Restore(cp);
-    active.reserve(cp.active_flows.size());
+    handles.reserve(cp.active_flows.size());
     for (const engine::EngineCheckpoint::ActiveFlow& f : cp.active_flows) {
-      active.push_back(f.ticket);
+      handles.push_back(f.ticket);
     }
     std::printf("restored %s: epoch %llu, %zu active flows, mode %s\n",
                 restore->c_str(),
-                static_cast<unsigned long long>(cp.epoch), active.size(),
+                static_cast<unsigned long long>(cp.epoch), handles.size(),
                 engine::EngineModeName(cp.mode));
   } else {
     // Epoch 1: the instance's own flow set arrives in one batch.
@@ -845,7 +830,7 @@ int ServeTrace(int argc, char** argv) {
     for (FlowId f = 0; f < inst.num_flows(); ++f) {
       prefill.push_back(inst.flow(f));
     }
-    active = eng.SubmitBatch(prefill, {}).tickets;
+    handles = eng.SubmitBatch(prefill, {}).tickets;
     print_snapshot(prefill.size(), 0, 0);
   }
 
@@ -854,7 +839,7 @@ int ServeTrace(int argc, char** argv) {
   churn.departure_probability = *departure_probability;
   const engine::ChurnTrace trace = engine::BuildChurnTrace(
       inst.network(), churn, static_cast<std::size_t>(*epochs),
-      active.size(), static_cast<std::uint64_t>(*seed));
+      handles.size(), static_cast<std::uint64_t>(*seed));
 
   const auto write_checkpoint = [&]() {
     // File-level writer: atomic temp+rename plus a CRC trailer, so a
@@ -870,15 +855,20 @@ int ServeTrace(int argc, char** argv) {
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
   // unattributed noise in the profile report).
+  const std::vector<std::vector<std::size_t>> departures =
+      engine::DepartureSequences(trace.epochs, handles.size());
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
+  std::vector<engine::FlowTicket> departing;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
-    std::vector<engine::FlowTicket> departing =
-        TakeDepartures(active, epoch.departures);
+    departing.clear();
+    for (std::size_t sequence : departures[epochs_served]) {
+      departing.push_back(handles[sequence]);
+    }
     const engine::Engine::BatchResult batch =
         eng.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), batch.tickets.begin(),
-                  batch.tickets.end());
+    handles.insert(handles.end(), batch.tickets.begin(),
+                   batch.tickets.end());
     print_snapshot(epoch.arrivals.size(), departing.size(),
                    batch.patch_boxes);
     ++epochs_served;

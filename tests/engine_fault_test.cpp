@@ -136,7 +136,7 @@ TEST(EngineFaultTest, IndexDeltaFaultsAreRetriedWithoutStateDamage) {
   EXPECT_EQ(engine.index().active_flows(), active.size());
   EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
   for (FlowTicket t : active) {
-    EXPECT_NE(engine.index().Find(t), nullptr);
+    EXPECT_TRUE(engine.index().Contains(t));
   }
 }
 

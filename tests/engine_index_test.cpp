@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -32,22 +34,27 @@ traffic::Flow MakeFlow(const graph::Digraph& network, VertexId src,
 }
 
 /// Canonical content of an index: per vertex, the sorted multiset of
-/// (src, dst, rate, path_index) over its visits — insensitive to the
-/// swap-erase ordering the incremental maintenance produces.
-using VertexVisits =
-    std::vector<std::vector<std::tuple<VertexId, VertexId, Rate,
-                                       std::int32_t>>>;
+/// (path, path_index, flow count, rate sum) over its class visits —
+/// insensitive to class ids and to the swap-erase ordering the
+/// incremental maintenance produces.
+using ClassVisit =
+    std::tuple<std::vector<VertexId>, std::int32_t, std::size_t, Rate>;
+using VertexVisits = std::vector<std::vector<ClassVisit>>;
 
 VertexVisits Canonicalize(const FlowCoverageIndex& index) {
   VertexVisits result(static_cast<std::size_t>(index.num_vertices()));
   for (VertexId v = 0; v < index.num_vertices(); ++v) {
-    for (const FlowCoverageIndex::Visit& visit : index.FlowsThrough(v)) {
-      const traffic::Flow& flow = index.FlowAt(visit.slot);
-      result[static_cast<std::size_t>(v)].emplace_back(
-          flow.src, flow.dst, flow.rate, visit.path_index);
+    auto& visits = result[static_cast<std::size_t>(v)];
+    for (const FlowCoverageIndex::Visit& visit : index.ClassesThrough(v)) {
+      const std::span<const VertexId> path =
+          index.ClassPath(visit.path_class);
+      const FlowCoverageIndex::PathClass& cls =
+          index.PathClassAt(visit.path_class);
+      EXPECT_EQ(visit.edges, cls.edges());
+      visits.emplace_back(std::vector<VertexId>(path.begin(), path.end()),
+                          visit.path_index, cls.active_flows, cls.rate_sum);
     }
-    std::sort(result[static_cast<std::size_t>(v)].begin(),
-              result[static_cast<std::size_t>(v)].end());
+    std::sort(visits.begin(), visits.end());
   }
   return result;
 }
@@ -56,7 +63,7 @@ VertexVisits Canonicalize(const FlowCoverageIndex& index) {
 FlowCoverageIndex Rebuild(const FlowCoverageIndex& index) {
   FlowCoverageIndex fresh(index.network(), index.lambda());
   for (FlowTicket ticket : index.ActiveTickets()) {
-    fresh.AddFlow(*index.Find(ticket));
+    fresh.AddFlow(index.FlowAt(ticket));
   }
   return fresh;
 }
@@ -71,10 +78,13 @@ TEST(FlowCoverageIndexTest, AddIndexesEveryPathVertex) {
   EXPECT_DOUBLE_EQ(index.unprocessed_bandwidth(),
                    3.0 * static_cast<double>(flow.PathEdges()));
   for (std::size_t i = 0; i < flow.path.vertices.size(); ++i) {
-    const auto& visits = index.FlowsThrough(flow.path.vertices[i]);
+    const auto& visits = index.ClassesThrough(flow.path.vertices[i]);
     ASSERT_EQ(visits.size(), 1u);
     EXPECT_EQ(visits[0].path_index, static_cast<std::int32_t>(i));
+    EXPECT_EQ(visits[0].edges,
+              static_cast<std::int32_t>(flow.PathEdges()));
   }
+  EXPECT_EQ(index.FlowAt(ticket).path.vertices, flow.path.vertices);
 }
 
 TEST(FlowCoverageIndexTest, RemoveIsExactInverse) {
@@ -90,7 +100,7 @@ TEST(FlowCoverageIndexTest, RemoveIsExactInverse) {
   EXPECT_EQ(index.active_flows(), 1u);
   EXPECT_EQ(Canonicalize(index), before);
   EXPECT_DOUBLE_EQ(index.unprocessed_bandwidth(), bandwidth_before);
-  EXPECT_NE(index.Find(keep), nullptr);
+  EXPECT_TRUE(index.Contains(keep));
 }
 
 TEST(FlowCoverageIndexTest, StaleTicketsAreRejected) {
@@ -101,13 +111,13 @@ TEST(FlowCoverageIndexTest, StaleTicketsAreRejected) {
   // Double-remove, invalid and recycled-slot tickets must all be no-ops.
   EXPECT_FALSE(index.RemoveFlow(ticket));
   EXPECT_FALSE(index.RemoveFlow(kInvalidTicket));
-  EXPECT_EQ(index.Find(ticket), nullptr);
+  EXPECT_FALSE(index.Contains(ticket));
 
   const FlowTicket recycled = index.AddFlow(MakeFlow(network, 6, 0, 2));
   EXPECT_NE(recycled, ticket);  // generation bumped
   EXPECT_FALSE(index.RemoveFlow(ticket));
   EXPECT_EQ(index.active_flows(), 1u);
-  EXPECT_NE(index.Find(recycled), nullptr);
+  EXPECT_TRUE(index.Contains(recycled));
 }
 
 TEST(FlowCoverageIndexTest, SlotsAreRecycled) {
@@ -130,17 +140,69 @@ TEST(FlowCoverageIndexTest, SlotsAreRecycled) {
   EXPECT_EQ(index.active_flows(), 0u);
 }
 
+// delta_ops counts index entries written or erased: one slot entry per
+// flow event, plus the class's |p| visit entries when it gains its first
+// flow or loses its last.
 TEST(FlowCoverageIndexTest, DeltaOpsCountVisitEntries) {
   graph::Digraph network = TestNetwork(5);
   FlowCoverageIndex index(network, 0.5);
   const traffic::Flow flow = MakeFlow(network, 11, 0, 2);
   const std::size_t path_vertices = flow.path.vertices.size();
-  const FlowTicket ticket = index.AddFlow(flow);
-  EXPECT_EQ(index.stats().delta_ops, path_vertices);
-  EXPECT_TRUE(index.RemoveFlow(ticket));
-  EXPECT_EQ(index.stats().delta_ops, 2 * path_vertices);
-  EXPECT_EQ(index.stats().arrivals, 1u);
-  EXPECT_EQ(index.stats().departures, 1u);
+  const FlowTicket first = index.AddFlow(flow);
+  EXPECT_EQ(index.stats().delta_ops, 1 + path_vertices);
+  const FlowTicket second = index.AddFlow(flow);  // same class: slot only
+  EXPECT_EQ(index.stats().delta_ops, 2 + path_vertices);
+  EXPECT_TRUE(index.RemoveFlow(first));
+  EXPECT_EQ(index.stats().delta_ops, 3 + path_vertices);
+  EXPECT_TRUE(index.RemoveFlow(second));  // last flow: visits erased
+  EXPECT_EQ(index.stats().delta_ops, 4 + 2 * path_vertices);
+  EXPECT_EQ(index.stats().arrivals, 2u);
+  EXPECT_EQ(index.stats().departures, 2u);
+}
+
+// Flows on one path share one class: one visit per path vertex, the
+// summed rate, and a record (with its id) that outlives its last flow.
+TEST(FlowCoverageIndexTest, SamePathFlowsShareOneClass) {
+  graph::Digraph network = TestNetwork(8);
+  FlowCoverageIndex index(network, 0.5);
+  const traffic::Flow slow = MakeFlow(network, 9, 0, 2);
+  traffic::Flow fast = slow;
+  fast.rate = 5;
+  const traffic::Flow other = MakeFlow(network, 4, 0, 1);
+  ASSERT_NE(slow.path.vertices, other.path.vertices);
+
+  const FlowTicket a = index.AddFlow(slow);
+  const FlowTicket b = index.AddFlow(fast);
+  (void)index.AddFlow(other);
+  ASSERT_EQ(index.num_path_classes(), 2u);  // first-seen order
+  EXPECT_EQ(index.ClassOf(a), 0u);
+  EXPECT_EQ(index.ClassOf(b), 0u);
+  EXPECT_EQ(index.ClassOf(index.ActiveTickets().back()), 1u);
+  EXPECT_EQ(index.PathClassAt(0).active_flows, 2u);
+  EXPECT_EQ(index.PathClassAt(0).rate_sum, 7);
+  EXPECT_EQ(index.RateOf(b), 5);
+  EXPECT_EQ(index.unprocessed_units(),
+            7 * static_cast<std::int64_t>(slow.PathEdges()) +
+                static_cast<std::int64_t>(other.PathEdges()));
+  const VertexId src = slow.path.vertices.front();
+  ASSERT_EQ(index.ClassesThrough(src).size(), 1u);
+
+  EXPECT_TRUE(index.RemoveFlow(a));
+  EXPECT_EQ(index.ClassesThrough(src).size(), 1u);  // class still live
+  EXPECT_EQ(index.PathClassAt(0).rate_sum, 5);
+  EXPECT_TRUE(index.RemoveFlow(b));
+  EXPECT_TRUE(index.ClassesThrough(src).empty());
+  EXPECT_EQ(index.PathClassAt(0).active_flows, 0u);
+
+  const FlowTicket again = index.AddFlow(slow);  // revives class 0
+  EXPECT_EQ(index.ClassOf(again), 0u);
+  EXPECT_EQ(index.num_path_classes(), 2u);
+  EXPECT_EQ(index.ClassesThrough(src).size(), 1u);
+  const traffic::Flow rebuilt = index.FlowAt(again);
+  EXPECT_EQ(rebuilt.src, slow.src);
+  EXPECT_EQ(rebuilt.dst, slow.dst);
+  EXPECT_EQ(rebuilt.rate, slow.rate);
+  EXPECT_EQ(rebuilt.path.vertices, slow.path.vertices);
 }
 
 TEST(FlowCoverageIndexTest, BuildInstanceMatchesActiveFlows) {
@@ -197,6 +259,39 @@ TEST(FlowCoverageIndexSoakTest, FiftyEpochsMatchRebuild) {
   EXPECT_NEAR(index.unprocessed_bandwidth(),
               rebuilt.unprocessed_bandwidth(), 1e-9);
   EXPECT_GT(index.stats().delta_ops, 0u);
+}
+
+// Replay loops resolve positional departures up front: the sequence
+// numbers DepartureSequences names must be exactly the flows a positional
+// replay departs, epoch by epoch.
+TEST(ChurnTraceTest, DepartureSequencesMatchPositionalReplay) {
+  graph::Digraph network = TestNetwork(9, 24);
+  core::ChurnModel churn;
+  churn.arrival_count = 7;
+  churn.departure_probability = 0.3;
+  constexpr std::size_t kInitial = 10;
+  const ChurnTrace trace = BuildChurnTrace(network, churn, 30, kInitial, 5);
+  const std::vector<std::vector<std::size_t>> sequences =
+      DepartureSequences(trace.epochs, kInitial);
+  ASSERT_EQ(sequences.size(), trace.epochs.size());
+
+  std::vector<std::size_t> active(kInitial);
+  std::iota(active.begin(), active.end(), std::size_t{0});
+  std::size_t next_sequence = kInitial;
+  for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
+    std::vector<std::size_t> departed;
+    for (std::size_t position : trace.epochs[e].departures) {
+      departed.push_back(active[position]);
+    }
+    for (auto it = trace.epochs[e].departures.rbegin();
+         it != trace.epochs[e].departures.rend(); ++it) {
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+    EXPECT_EQ(sequences[e], departed) << "epoch " << e;
+    for (std::size_t i = 0; i < trace.epochs[e].arrivals.size(); ++i) {
+      active.push_back(next_sequence++);
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "faults/faults.hpp"
 #include "obs/fleet_report.hpp"
 #include "obs/metrics.hpp"
+#include "obs/quality_report.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_report.hpp"
 #include "shard/sharded_engine.hpp"
@@ -125,6 +127,58 @@ TEST(FleetTraceE2eTest, FourShardTracedRunReconstructsConnectedChains) {
   std::ostringstream table;
   WriteFleetReport(table, report);
   EXPECT_NE(table.str().find("e2e admission->adoption"), std::string::npos);
+}
+
+// Every shard engine publishes its quality samples from its own worker
+// thread, so report's quality section keeps one series per trace track: a
+// 2-shard run prints one block per shard, each in epoch order (a merged
+// series would interleave the shards' epochs).
+TEST(FleetTraceE2eTest, QualitySectionPrintsOneSeriesPerShard) {
+  const graph::Digraph g = TestNetwork(5);
+  const engine::ChurnTrace trace = MakeTrace(g, 16, 5);
+
+  obs::Tracer tracer;
+  ShardedEngine fleet(g, FleetOptions(2, 6));
+  std::vector<FlowId64> active;
+  {
+    ScopedInstall install(&tracer);
+    ReplayFleet(fleet, trace, active);
+    fleet.Drain();
+  }
+
+  std::ostringstream json;
+  WriteChromeTrace(json, tracer.Drain());
+  std::istringstream in(json.str());
+  const obs::ChromeTrace parsed = obs::ReadChromeTrace(in);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const obs::QualityReport report = obs::BuildQualityReport(parsed);
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(report.tracks.size(), 2u);
+  std::size_t samples = 0;
+  for (const obs::QualityReport& track : report.tracks) {
+    samples += track.num_samples;
+  }
+  EXPECT_EQ(samples, report.num_samples);
+
+  std::ostringstream text;
+  obs::WriteQualityReport(text, report);
+  std::istringstream lines(text.str());
+  std::string line;
+  std::size_t blocks = 0;
+  unsigned long long last_epoch = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("quality: track ", 0) == 0) {
+      ++blocks;
+      last_epoch = 0;
+      continue;
+    }
+    unsigned long long epoch = 0;
+    if (std::sscanf(line.c_str(), "epoch %llu", &epoch) == 1) {
+      EXPECT_GE(epoch, last_epoch) << "block " << blocks;
+      last_epoch = epoch;
+    }
+  }
+  EXPECT_EQ(blocks, 2u) << text.str();
 }
 
 TEST(FleetTraceE2eTest, MetricsExposeE2ePipelineAndDropTotal) {

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/coverage_index.hpp"
 #include "engine/engine.hpp"
@@ -32,8 +33,10 @@
 namespace {
 
 // Live heap bytes as the allocator sees them (usable chunk sizes, so
-// malloc's bin rounding is included on both sides of a delta).
+// malloc's bin rounding is included on both sides of a delta), and the
+// number of allocations made.
 std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_allocations{0};
 
 std::size_t UsableSize(void* ptr) {
 #if TDMD_HAVE_USABLE_SIZE
@@ -48,6 +51,7 @@ void* CountedAlloc(std::size_t size) {
   void* ptr = std::malloc(size);
   if (ptr == nullptr) throw std::bad_alloc();
   g_live_bytes.fetch_add(UsableSize(ptr), std::memory_order_relaxed);
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   return ptr;
 }
 
@@ -130,6 +134,45 @@ TEST(ObsMemFootprint, CoverageIndexWithin25PercentOfAllocatorDelta) {
   const std::size_t freed = g_live_bytes.load(std::memory_order_relaxed);
   EXPECT_LE(freed, before + 1024)  // transient STL scratch tolerance
       << "index destruction leaked " << (freed - before) << " bytes";
+}
+
+// An arrival on a path whose class is live, and a departure that leaves
+// its class non-empty, touch only the slot and the class record: once the
+// slot table and free stack have grown, neither allocates.
+TEST(ObsMemFootprint, KnownPathArrivalsAndDeparturesAllocateNothing) {
+  Rng rng(13);
+  const core::Instance instance =
+      test::MakeRandomGeneralCase(40, 0.5, 300, rng);
+  const traffic::FlowSet& flows = instance.flows();
+  FlowCoverageIndex index(graph::Digraph(instance.network()),
+                          instance.lambda());
+  // Warm-up: every flow twice, so each class keeps a flow while the first
+  // copies churn, then one departure/arrival round to size the free stack.
+  std::vector<FlowTicket> first;
+  for (const traffic::Flow& flow : flows) first.push_back(index.AddFlow(flow));
+  for (const traffic::Flow& flow : flows) (void)index.AddFlow(flow);
+  for (FlowTicket ticket : first) ASSERT_TRUE(index.RemoveFlow(ticket));
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    first[i] = index.AddFlow(flows[i]);
+  }
+
+  const std::size_t classes = index.num_path_classes();
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (FlowTicket ticket : first) (void)index.RemoveFlow(ticket);
+  const std::size_t after_departures =
+      g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    first[i] = index.AddFlow(flows[i]);
+  }
+  const std::size_t after_arrivals =
+      g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after_departures, before)
+      << "departures leaving their class non-empty allocated";
+  EXPECT_EQ(after_arrivals, after_departures)
+      << "arrivals on known paths allocated";
+  EXPECT_EQ(index.num_path_classes(), classes);
+  EXPECT_EQ(index.active_flows(), 2 * flows.size());
 }
 
 TEST(ObsMemFootprint, MpscQueueFootprintTracksOccupancy) {
