@@ -7,12 +7,13 @@
 //     patch, then the incremental CELF re-solve against the live
 //     coverage index.
 //   * baseline: from-scratch per epoch — rebuild the core::Instance from
-//     the full flow set and run budgeted feasibility-aware GTP (the
-//     DynamicPlacer reference solver).
+//     the live flows and run budgeted feasibility-aware GTP
+//     (ReplayFromScratch, the reference bench/dynamic_churn measures
+//     regret against).
 //
 // Both replays consume the identical pre-drawn ChurnTrace, so the
 // comparison is workload-for-workload; the trace derives from --seed via
-// engine::BuildChurnTrace, the same path bench/dynamic_churn uses.
+// engine::BuildChurnTrace.
 //
 // Emits a JSON summary (wall_ms, per-epoch latency quantiles, epochs,
 // gain_reevals, speedup, plus context) to --json-out for the CI
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "common/args.hpp"
-#include "core/gtp.hpp"
 #include "engine/engine.hpp"
 #include "scenario.hpp"
 
@@ -42,17 +42,13 @@ struct ReplayResult {
 
 ReplayResult ReplayEngine(engine::Engine& eng, const ChurnWorkload& w) {
   ReplayResult r;
-  std::vector<engine::FlowTicket> active =
+  std::vector<engine::FlowTicket> handles =  // by arrival sequence
       eng.SubmitBatch(w.prefill, {}).tickets;
   for (const engine::ChurnEpoch& epoch : w.trace.epochs) {
     std::vector<engine::FlowTicket> departing;
     departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departing.push_back(handles[sequence]);
     }
     const std::uint64_t start_ns = obs::MonotonicNanos();
     const engine::Engine::BatchResult batch =
@@ -60,8 +56,8 @@ ReplayResult ReplayEngine(engine::Engine& eng, const ChurnWorkload& w) {
     const std::uint64_t elapsed_ns = obs::MonotonicNanos() - start_ns;
     r.epoch_ns.Record(elapsed_ns);
     r.wall_ms += static_cast<double>(elapsed_ns) / 1e6;
-    active.insert(active.end(), batch.tickets.begin(),
-                  batch.tickets.end());
+    handles.insert(handles.end(), batch.tickets.begin(),
+                   batch.tickets.end());
     const auto snapshot = eng.CurrentSnapshot();
     r.final_bandwidth = snapshot->bandwidth;
     r.always_feasible = r.always_feasible && snapshot->feasible;
@@ -72,26 +68,15 @@ ReplayResult ReplayEngine(engine::Engine& eng, const ChurnWorkload& w) {
 ReplayResult ReplayBaseline(const ChurnWorkload& w, std::size_t k,
                             double lambda) {
   ReplayResult r;
-  core::GtpOptions options;
-  options.max_middleboxes = k;
-  options.feasibility_aware = true;
-  traffic::FlowSet flows = w.prefill;
-  for (const engine::ChurnEpoch& epoch : w.trace.epochs) {
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    flows.insert(flows.end(), epoch.arrivals.begin(),
-                 epoch.arrivals.end());
-    const std::uint64_t start_ns = obs::MonotonicNanos();
-    const core::Instance instance(w.network, flows, lambda);
-    const core::PlacementResult result = core::Gtp(instance, options);
-    const std::uint64_t elapsed_ns = obs::MonotonicNanos() - start_ns;
-    r.epoch_ns.Record(elapsed_ns);
-    r.wall_ms += static_cast<double>(elapsed_ns) / 1e6;
-    r.final_bandwidth = result.bandwidth;
-    r.always_feasible = r.always_feasible && result.feasible;
-  }
+  ReplayFromScratch(w.network, w.prefill, w.trace.epochs, k, lambda,
+                    [&r](const core::PlacementResult& result,
+                         std::uint64_t elapsed_ns) {
+                      r.epoch_ns.Record(elapsed_ns);
+                      r.wall_ms += static_cast<double>(elapsed_ns) / 1e6;
+                      r.final_bandwidth = result.bandwidth;
+                      r.always_feasible =
+                          r.always_feasible && result.feasible;
+                    });
   return r;
 }
 
@@ -192,9 +177,8 @@ int main(int argc, char** argv) {
   const auto* seed = parser.AddInt(
       "seed", 1,
       "base RNG seed; topology, prefill and churn trace derive from it "
-      "deterministically (engine::BuildChurnTrace, the same generator "
-      "bench/dynamic_churn uses), so equal seeds replay identical "
-      "workloads across both benches");
+      "deterministically (engine::BuildChurnTrace), so equal seeds replay "
+      "identical workloads");
   const auto* json_out = parser.AddString(
       "json-out", "BENCH_engine.json",
       "path for the JSON summary (empty string disables)");

@@ -51,7 +51,7 @@ ReplayResult Replay(const ChurnWorkload& w,
                     std::size_t burst_start, std::size_t burst_epochs) {
   engine::Engine eng(w.network, options);
   ReplayResult r;
-  std::vector<engine::FlowTicket> active =
+  std::vector<engine::FlowTicket> handles =  // by arrival sequence
       eng.SubmitBatch(w.prefill, {}).tickets;
   for (std::size_t e = 0; e < w.trace.epochs.size(); ++e) {
     if (injector != nullptr) {
@@ -61,19 +61,15 @@ ReplayResult Replay(const ChurnWorkload& w,
     const engine::ChurnEpoch& epoch = w.trace.epochs[e];
     std::vector<engine::FlowTicket> departing;
     departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departing.push_back(handles[sequence]);
     }
     const std::uint64_t start_ns = obs::MonotonicNanos();
     const engine::Engine::BatchResult batch =
         eng.SubmitBatch(epoch.arrivals, departing);
     r.epoch_ns.Record(obs::MonotonicNanos() - start_ns);
-    active.insert(active.end(), batch.tickets.begin(),
-                  batch.tickets.end());
+    handles.insert(handles.end(), batch.tickets.begin(),
+                   batch.tickets.end());
     const auto snapshot = eng.CurrentSnapshot();
     r.bandwidth_per_epoch.push_back(snapshot->bandwidth);
     r.mode_per_epoch.push_back(eng.mode());

@@ -82,22 +82,19 @@ DrillResult RunDrill(const ShardWorkload& workload,
   }
   shard::ShardedEngine fleet(workload.network, options);
 
-  std::vector<shard::FlowId64> active =
+  std::vector<shard::FlowId64> handles =  // by arrival sequence
       fleet.SubmitBatch(workload.prefill, {}).flow_ids;
   fleet.Drain();
 
   DrillResult result;
   const std::uint64_t start_ns = obs::MonotonicNanos();
   std::size_t epochs_served = 0;
+  std::size_t departed = 0;
   for (const ShardEpoch& epoch : workload.epochs) {
     std::vector<shard::FlowId64> departing;
     departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departing.push_back(handles[sequence]);
     }
     if (config.crash_epoch != 0 &&
         epochs_served + 1 == config.crash_epoch) {
@@ -110,8 +107,9 @@ DrillResult RunDrill(const ShardWorkload& workload,
     // consumer regime, exactly what the bounded queues exist to absorb.
     // The other drills drain per epoch for honest recovery timing.
     if (!config.stall_faults) fleet.Drain();
-    active.insert(active.end(), batch.flow_ids.begin(),
-                  batch.flow_ids.end());
+    handles.insert(handles.end(), batch.flow_ids.begin(),
+                   batch.flow_ids.end());
+    departed += departing.size();
     ++epochs_served;
   }
   const shard::FleetSnapshot snapshot = fleet.Snapshot();
@@ -119,7 +117,7 @@ DrillResult RunDrill(const ShardWorkload& workload,
       static_cast<double>(obs::MonotonicNanos() - start_ns) / 1e6;
   result.bandwidth = snapshot.bandwidth;
   result.feasible = snapshot.feasible;
-  result.active_flows = active.size();
+  result.active_flows = handles.size() - departed;
   for (const shard::ShardStatus& status : snapshot.shards) {
     result.fleet_flows += status.active_flows;
   }

@@ -48,25 +48,21 @@ namespace {
 double ReplayMs(const ChurnWorkload& w,
                 const engine::EngineOptions& options) {
   engine::Engine eng(w.network, options);
-  std::vector<engine::FlowTicket> active =
+  std::vector<engine::FlowTicket> handles =  // by arrival sequence
       eng.SubmitBatch(w.prefill, {}).tickets;
   double wall_ms = 0.0;
   for (const engine::ChurnEpoch& epoch : w.trace.epochs) {
     std::vector<engine::FlowTicket> departing;
     departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departing.push_back(handles[sequence]);
     }
     const std::uint64_t start_ns = obs::MonotonicNanos();
     const engine::Engine::BatchResult batch =
         eng.SubmitBatch(epoch.arrivals, departing);
     wall_ms += static_cast<double>(obs::MonotonicNanos() - start_ns) / 1e6;
-    active.insert(active.end(), batch.tickets.begin(),
-                  batch.tickets.end());
+    handles.insert(handles.end(), batch.tickets.begin(),
+                   batch.tickets.end());
   }
   return wall_ms;
 }
@@ -86,27 +82,23 @@ double ShardReplayMs(const ShardWorkload& w, std::size_t shards,
   options.realloc_interval_epochs = 0;
   options.pin_threads = false;
   shard::ShardedEngine fleet(w.network, options);
-  std::vector<shard::FlowId64> active =
+  std::vector<shard::FlowId64> handles =  // by arrival sequence
       fleet.SubmitBatch(w.prefill, {}).flow_ids;
   fleet.Drain();
   double wall_ms = 0.0;
   for (const ShardEpoch& epoch : w.epochs) {
     std::vector<shard::FlowId64> departing;
     departing.reserve(epoch.departures.size());
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departing.push_back(handles[sequence]);
     }
     const std::uint64_t start_ns = obs::MonotonicNanos();
     const shard::ShardedEngine::BatchResult batch =
         fleet.SubmitBatch(epoch.arrivals, departing);
     fleet.Drain();
     wall_ms += static_cast<double>(obs::MonotonicNanos() - start_ns) / 1e6;
-    active.insert(active.end(), batch.flow_ids.begin(),
-                  batch.flow_ids.end());
+    handles.insert(handles.end(), batch.flow_ids.begin(),
+                   batch.flow_ids.end());
   }
   return wall_ms;
 }

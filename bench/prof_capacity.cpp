@@ -64,11 +64,8 @@ ProfiledEngineRun RunEngine(const ChurnWorkload& w, std::size_t k,
   options.lambda = lambda;
   options.move_threshold = 0.0;
 
-  // Churn bookkeeping stays outside the sampled window, as in
-  // serve-trace: departures are resolved to arrival sequence numbers up
-  // front, so the loop maps them to tickets in O(departures).
-  const std::vector<std::vector<std::size_t>> departures =
-      engine::DepartureSequences(w.trace.epochs, w.prefill.size());
+  // The trace names departures by arrival sequence, so the loop maps them
+  // to tickets in O(departures), as serve-trace does.
   obs::Profiler::Options prof_options;
   prof_options.sample_hz = sample_hz;
   obs::Profiler profiler(prof_options);
@@ -87,7 +84,7 @@ ProfiledEngineRun RunEngine(const ChurnWorkload& w, std::size_t k,
     tickets.assign(prefilled.tickets.begin(), prefilled.tickets.end());
     for (std::size_t e = 0; e < w.trace.epochs.size(); ++e) {
       departing.clear();
-      for (std::size_t sequence : departures[e]) {
+      for (std::size_t sequence : w.trace.epochs[e].departures) {
         departing.push_back(tickets[sequence]);
       }
       const engine::Engine::BatchResult batch =
@@ -123,8 +120,6 @@ ProfiledFleetRun RunFleet(const ShardWorkload& w, std::size_t shards,
   options.realloc_interval_epochs = 0;
   options.pin_threads = false;
 
-  const std::vector<std::vector<std::size_t>> departures =
-      engine::DepartureSequences(w.epochs, w.prefill.size());
   obs::Profiler::Options prof_options;
   prof_options.sample_hz = sample_hz;
   obs::Profiler profiler(prof_options);
@@ -144,7 +139,7 @@ ProfiledFleetRun RunFleet(const ShardWorkload& w, std::size_t shards,
     fleet.Drain();
     for (std::size_t e = 0; e < w.epochs.size(); ++e) {
       departing.clear();
-      for (std::size_t sequence : departures[e]) {
+      for (std::size_t sequence : w.epochs[e].departures) {
         departing.push_back(ids[sequence]);
       }
       const shard::ShardedEngine::BatchResult batch =

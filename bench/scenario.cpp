@@ -140,12 +140,12 @@ ChurnWorkload BuildChurnWorkload(VertexId size, std::size_t flows,
   ChurnWorkload workload;
   workload.network = topology::ExtractGeneralSubgraph(ark, size, rng);
 
-  core::ChurnModel prefill_model;
+  engine::ChurnModel prefill_model;
   prefill_model.arrival_count = flows;
   workload.prefill =
-      core::DrawArrivals(workload.network, prefill_model, rng);
+      engine::DrawArrivals(workload.network, prefill_model, rng);
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count =
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    static_cast<double>(flows) *
@@ -285,37 +285,69 @@ ShardWorkload BuildShardWorkload(VertexId size, std::size_t flows,
   // resolve_churn_fraction = 0.03).
   const double depart_p = 0.16;
   const std::size_t arrive_c = flows / regions * 16 / 100;
-  // Region of each active flow, tracked positionally like the engine
-  // bench traces track tickets.
-  std::vector<int> flow_region;
-  flow_region.reserve(workload.prefill.size());
+  // The live flows in list order: arrival sequence number and region.
+  // One departure coin per live flow of the epoch's region, in list order.
+  struct LiveFlow {
+    std::size_t sequence;
+    int region;
+  };
+  std::vector<LiveFlow> live;
+  live.reserve(workload.prefill.size());
   for (const traffic::Flow& flow : workload.prefill) {
-    flow_region.push_back(region[static_cast<std::size_t>(flow.src)]);
+    live.push_back(
+        LiveFlow{live.size(), region[static_cast<std::size_t>(flow.src)]});
   }
+  std::size_t next_sequence = live.size();
   workload.epochs.reserve(epochs);
   for (std::size_t e = 0; e < epochs; ++e) {
     const int r = static_cast<int>(e % regions);
     ShardEpoch epoch;
-    for (std::size_t i = 0; i < flow_region.size(); ++i) {
-      if (flow_region[i] == r && rng.NextBool(depart_p)) {
-        epoch.departures.push_back(i);
+    std::size_t kept = 0;
+    for (const LiveFlow& flow : live) {
+      if (flow.region == r && rng.NextBool(depart_p)) {
+        epoch.departures.push_back(flow.sequence);
+      } else {
+        live[kept++] = flow;
       }
     }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      flow_region.erase(flow_region.begin() +
-                        static_cast<std::ptrdiff_t>(*it));
-    }
+    live.resize(kept);
     for (std::size_t i = 0; i < arrive_c; ++i) {
       traffic::Flow flow =
           DrawRegionFlow(workload.network, workload.hubs, region, r, rng);
       if (flow.path.empty()) continue;
       epoch.arrivals.push_back(std::move(flow));
-      flow_region.push_back(r);
+      live.push_back(LiveFlow{next_sequence++, r});
     }
     workload.epochs.push_back(std::move(epoch));
   }
   return workload;
+}
+
+void ReplayFromScratch(
+    const graph::Digraph& network, const traffic::FlowSet& initial,
+    const std::vector<engine::ChurnEpoch>& epochs, std::size_t k,
+    double lambda,
+    const std::function<void(const core::PlacementResult&, std::uint64_t)>&
+        on_epoch) {
+  core::GtpOptions options;
+  options.max_middleboxes = k;
+  options.feasibility_aware = true;
+  traffic::FlowSet flows = initial;  // by arrival sequence
+  std::vector<bool> live(flows.size(), true);
+  traffic::FlowSet current;
+  for (const engine::ChurnEpoch& epoch : epochs) {
+    for (std::size_t sequence : epoch.departures) live[sequence] = false;
+    flows.insert(flows.end(), epoch.arrivals.begin(), epoch.arrivals.end());
+    live.resize(flows.size(), true);
+    current.clear();
+    for (std::size_t sequence = 0; sequence < flows.size(); ++sequence) {
+      if (live[sequence]) current.push_back(flows[sequence]);
+    }
+    const std::uint64_t start_ns = obs::MonotonicNanos();
+    const core::Instance instance(network, current, lambda);
+    const core::PlacementResult result = core::Gtp(instance, options);
+    on_epoch(result, obs::MonotonicNanos() - start_ns);
+  }
 }
 
 }  // namespace tdmd::bench

@@ -7,6 +7,8 @@
 // and keeps other variables constant").
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -114,8 +116,8 @@ ChurnWorkload BuildChurnWorkload(VertexId size, std::size_t flows,
                                  std::uint64_t seed);
 
 /// One epoch of the regionalized shard workload: pre-drawn arrivals and
-/// positional departure indices into the caller's active-flow list (the
-/// engine::ChurnEpoch convention).
+/// departures named by arrival sequence number (the engine::ChurnEpoch
+/// convention).
 using ShardEpoch = engine::ChurnEpoch;
 
 /// Regionalized churn workload for bench/shard_scaling: `regions`
@@ -135,6 +137,18 @@ struct ShardWorkload {
 ShardWorkload BuildShardWorkload(VertexId size, std::size_t flows,
                                  std::size_t epochs, std::size_t regions,
                                  std::uint64_t seed);
+
+/// The churn benches' from-scratch reference.  Replays `epochs` over the
+/// `initial` flows and, after each epoch, rebuilds a core::Instance from
+/// the live flows in arrival order and runs budgeted feasibility-aware
+/// GTP on it.  `on_epoch(result, solve_ns)` receives each epoch's plan
+/// and the wall time of that rebuild and solve.
+void ReplayFromScratch(
+    const graph::Digraph& network, const traffic::FlowSet& initial,
+    const std::vector<engine::ChurnEpoch>& epochs, std::size_t k,
+    double lambda,
+    const std::function<void(const core::PlacementResult&, std::uint64_t)>&
+        on_epoch);
 
 /// Flat single-object JSON emitter for the BENCH_*.json CI artifacts.
 /// Writes `{` on construction, one `"key": value` pair per Field call,

@@ -79,9 +79,8 @@ struct EngineCheckpoint {
   /// timeline ring + detectors), serialized as the optional `quality v1`
   /// section after the histograms.  Unlike the histograms this state *is*
   /// deterministic in the churn stream, so restoring it keeps replayed
-  /// timelines byte-identical; the write option to omit it exists for
-  /// async runs (sample count depends on adoption timing) and for
-  /// byte-comparisons against pre-quality records.
+  /// timelines byte-identical.  False when the engine samples no quality;
+  /// the record then has no quality section.
   bool has_quality = false;
   obs::QualityTrackerState quality_tracker;
   std::vector<obs::VertexAttribution> quality_attribution;

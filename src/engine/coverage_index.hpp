@@ -2,9 +2,9 @@
 //
 // core::Instance precomputes the two lookups every solver needs — the
 // per-flow prefix-distance table behind l_v(f) and the reverse
-// vertex -> flows index — but it is immutable: under churn the
-// DynamicPlacer rebuilds both from scratch every epoch, O(|F| * |V|) work
-// that dwarfs the actual delta.  This index maintains the same state
+// vertex -> flows index — but it is immutable: under churn a from-scratch
+// solver rebuilds both every epoch, O(|F| * |V|) work that dwarfs the
+// actual delta.  This index maintains the same state
 // incrementally, per *path class*.
 //
 // Flows that share one path are interchangeable for coverage: every

@@ -64,7 +64,6 @@ Engine::Engine(graph::Digraph network, EngineOptions options)
       budget_k_(options.k),
       index_(std::move(network), options.lambda),
       deployment_(index_.num_vertices()),
-      quality_timeline_(options.quality_capacity, options.quality_detectors),
       quality_prev_deployment_(index_.num_vertices()) {
   TDMD_CHECK_MSG(options_.k >= 1, "middlebox budget k must be >= 1");
   TDMD_CHECK_MSG(options_.resolve_churn_fraction >= 0.0,

@@ -6,15 +6,14 @@
 //   1. Deltas are applied to the FlowCoverageIndex in O(churn), not
 //      O(|F| * |V|) rebuild.
 //   2. Feasibility is restored synchronously: newly unserved flows are
-//      greedy-covered with spare budget (the DynamicPlacer patch policy),
-//      so a snapshot published right after SubmitBatch already serves
-//      every coverable flow.
+//      greedy-covered with spare budget, so a snapshot published right
+//      after SubmitBatch already serves every coverable flow.
 //   3. When the re-solve cadence calls for it, a full re-solve
 //      (IncrementalGtp, CELF) runs inline inside the same SubmitBatch
 //      against the live index.  A completed re-solve is adopted only
-//      under the DynamicPlacer hysteresis rule (bandwidth saved >=
-//      move_threshold per middlebox moved — or unconditionally when the
-//      patched plan is infeasible).
+//      under the hysteresis rule (bandwidth saved >= move_threshold per
+//      middlebox moved — or unconditionally when the patched plan is
+//      infeasible).
 //
 // The engine is a single-threaded state machine: it starts no threads of
 // its own.  Running engines concurrently is the shard fleet's job
@@ -117,12 +116,10 @@ struct EngineOptions {
   /// Record a QualitySample on every snapshot publish (skipping the
   /// constructor's empty-deployment publish) and run the regression
   /// detectors over the stream.  O(|P| + |churn|) per epoch; the
-  /// bench/quality_overhead leg pins the cost under the 5% budget.
+  /// bench/quality_overhead leg pins the cost under the 5% budget.  The
+  /// timeline keeps obs::QualityTimeline's default ring capacity and
+  /// detector tuning.
   bool quality_sampling = true;
-  /// Epoch ring capacity of the quality timeline.
-  std::size_t quality_capacity = 512;
-  /// Detector tuning (EWMA / CUSUM / SLO burn rates).
-  obs::QualityDetectorOptions quality_detectors;
 
   // --- fault tolerance ----------------------------------------------------
 

@@ -196,7 +196,7 @@ void WriteEngineCheckpoint(std::ostream& os,
     write_histogram("index-delta", checkpoint.index_delta_histogram);
     write_histogram("greedy-round", checkpoint.greedy_round_histogram);
   }
-  if (options.include_quality && checkpoint.has_quality) {
+  if (checkpoint.has_quality) {
     // Optional quality-observability section.  Samples serialize only
     // their primaries (hexfloat, bit-exact); the reader re-derives
     // decrement/ratio/margin via obs::DeriveQualityFields so writer and
@@ -827,8 +827,9 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
     }
   }
   if (!tokens.empty() && tokens[0] == "quality") {
-    // Optional quality-observability section (also absent from records
-    // written with include_quality off or before the section existed).
+    // Optional quality-observability section (absent from records of
+    // engines without quality sampling or written before the section
+    // existed).
     if (tokens.size() != 2 || tokens[1] != "v1") {
       result.error = AtLine(reader.line_number(), "expected 'quality v1'");
       return result;

@@ -115,10 +115,6 @@ struct EngineCheckpointWriteOptions {
   /// without it (timing samples differ run to run); everything else keeps
   /// the default.
   bool include_histograms = true;
-  /// The quality section is likewise optional.  Quality state is
-  /// deterministic under replay, but byte-comparisons against records
-  /// written before the section existed need it off.
-  bool include_quality = true;
 };
 
 void WriteEngineCheckpoint(std::ostream& os,

@@ -96,9 +96,11 @@ FleetReport BuildFleetReport(const ChromeTrace& trace) {
     // means the work was lost to a crash or a truncated capture).
     const ShardChain* straggler = nullptr;
     bool dangling = false;
+    bool any_dwell = false;
     bool any_patch = false;
     for (const auto& [tid, sc] : chain.by_tid) {
       if (sc.has_dwell) {
+        any_dwell = true;
         FleetShardRow& row = shard_rows[sc.shard];
         row.shard = sc.shard;
         ++row.batches;
@@ -110,6 +112,13 @@ FleetReport BuildFleetReport(const ChromeTrace& trace) {
           (straggler == nullptr || sc.adopt_us > straggler->adopt_us)) {
         straggler = &sc;
       }
+    }
+    // Rings overwrite their oldest events, so in a partial trace a batch
+    // may have lost its submit span or every dequeue; only the legs that
+    // survived can say whether the batch was lost.
+    if (trace.dropped > 0 && (!chain.has_submit || !any_dwell)) {
+      ++report.unscored;
+      continue;
     }
     if (!chain.has_submit || straggler == nullptr || dangling ||
         !any_patch) {
@@ -162,18 +171,27 @@ FleetReport BuildFleetReport(const ChromeTrace& trace) {
 }
 
 void WriteFleetReport(std::ostream& os, const FleetReport& report) {
-  char line[200];
+  char line[240];
+  const std::uint64_t scored = report.batches - report.unscored;
   const double connected_pct =
-      report.batches == 0 ? 0.0
-                          : 100.0 * static_cast<double>(report.connected) /
-                                static_cast<double>(report.batches);
+      scored == 0 ? 0.0
+                  : 100.0 * static_cast<double>(report.connected) /
+                        static_cast<double>(scored);
+  char share[120];
+  if (report.unscored == 0) {
+    std::snprintf(share, sizeof(share), "%.1f%%", connected_pct);
+  } else {
+    std::snprintf(share, sizeof(share),
+                  "%.1f%% of %llu scored; %llu unscored, legs dropped",
+                  connected_pct, static_cast<unsigned long long>(scored),
+                  static_cast<unsigned long long>(report.unscored));
+  }
   std::snprintf(line, sizeof(line),
                 "fleet-trace: %zu events, %llu batches (%llu connected, "
-                "%.1f%%), %llu shed, %llu recoveries\n",
+                "%s), %llu shed, %llu recoveries\n",
                 report.num_events,
                 static_cast<unsigned long long>(report.batches),
-                static_cast<unsigned long long>(report.connected),
-                connected_pct,
+                static_cast<unsigned long long>(report.connected), share,
                 static_cast<unsigned long long>(report.shed_batches),
                 static_cast<unsigned long long>(report.recoveries));
   os << line;

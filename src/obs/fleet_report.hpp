@@ -47,6 +47,11 @@ struct FleetReport {
   /// span, at least one shard with queue-dwell + patch + batch-adopted,
   /// and no shard left dangling (a queue-dwell without an adoption).
   std::uint64_t connected = 0;
+  /// Batches a partial trace (ChromeTrace::dropped > 0) cannot score: the
+  /// rings overwrote their fleet-submit span or every queue-dwell, so the
+  /// missing leg says nothing about lost work.  Neither connected nor
+  /// disconnected; always zero for a complete trace.
+  std::uint64_t unscored = 0;
   /// Sample of disconnected batch ids (capped; see kMaxDisconnectedIds).
   std::vector<std::uint64_t> disconnected_ids;
   /// shed-batch instants (admission shed to deferred re-solve).
@@ -78,8 +83,8 @@ inline constexpr std::size_t kMaxDisconnectedIds = 8;
 /// "0 batches, all fine".
 FleetReport BuildFleetReport(const ChromeTrace& trace);
 
-/// Prints the connected fraction, e2e quantiles, dominant-stage split,
-/// and the per-shard straggler table.
+/// Prints the connected fraction (of the scored batches), e2e quantiles,
+/// dominant-stage split, and the per-shard straggler table.
 void WriteFleetReport(std::ostream& os, const FleetReport& report);
 
 /// Prints the per-shard budget/boxes/flows/bandwidth/certificate table

@@ -21,6 +21,11 @@ namespace tdmd::shard {
 
 namespace {
 
+/// Redo-ring high-water mark: a ring longer than this forces a capture at
+/// the next epoch boundary, so replay work stays bounded even when the
+/// capture cadence is long.
+constexpr std::size_t kRedoRingCapacity = 64;
+
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -301,7 +306,7 @@ void ShardedEngine::RouteCommand(std::size_t shard, Command command) {
     entry.batch_id = command.batch_id;
     ShardGuard& guard = guards_[shard];
     guard.ring.push_back(std::move(entry));
-    if (guard.ring.size() > options_.redo_ring_capacity) capture_due_ = true;
+    if (guard.ring.size() > kRedoRingCapacity) capture_due_ = true;
   }
   if (!replaying_) {
     // Admission clock for the e2e stage latencies.  Replayed commands

@@ -130,11 +130,9 @@ struct ShardedEngineOptions {
   /// Capture a fresh per-shard recovery checkpoint every this many fleet
   /// epochs (0 = only at construction/Restore).  Shorter intervals bound
   /// redo-replay work; longer ones bound capture overhead.
+  /// Redo rings longer than 64 commands also force a capture at the next
+  /// epoch boundary, so replay work stays bounded either way.
   std::uint64_t supervisor_checkpoint_interval_epochs = 16;
-  /// Redo-ring high-water mark: exceeding it forces a capture at the
-  /// next epoch boundary, so replay work stays bounded even when the
-  /// capture cadence is long.
-  std::size_t redo_ring_capacity = 64;
   /// A worker busy on one command for longer than this is reported
   /// stalled (fleet state SHARD_DEGRADED); stalls are waited out, not
   /// killed — only a crash loses the engine.
@@ -545,7 +543,7 @@ class ShardedEngine {
   FleetState fleet_state_ = FleetState::kNormal;
   std::vector<ShardGuard> guards_;
   std::uint64_t last_capture_epoch_ = 0;
-  /// Set when any redo ring exceeds redo_ring_capacity; forces a capture
+  /// Set when any redo ring exceeds kRedoRingCapacity; forces a capture
   /// at the next epoch boundary.
   bool capture_due_ = false;
   /// True while RecoverShard replays a redo ring, so replayed commands

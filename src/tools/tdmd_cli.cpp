@@ -74,7 +74,6 @@
 
 #include "common/args.hpp"
 #include "common/rng.hpp"
-#include "core/dynamic.hpp"
 #include "core/tdmd.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/churn_trace.hpp"
@@ -455,7 +454,7 @@ int ServeTraceSharded(const core::Instance& inst,
   }
   shard::ShardedEngine fleet(inst.network(), options);
 
-  // Every flow's id in arrival-sequence order (DepartureSequences'
+  // Every flow's id by arrival sequence (the trace's departure
   // numbering); departed entries stay in place.
   std::vector<shard::FlowId64> handles;
   if (!params.restore.empty()) {
@@ -484,7 +483,7 @@ int ServeTraceSharded(const core::Instance& inst,
                 handles.size());
   }
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = params.arrival_count;
   churn.departure_probability = params.departure_probability;
   const engine::ChurnTrace trace =
@@ -502,14 +501,12 @@ int ServeTraceSharded(const core::Instance& inst,
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
   // unattributed noise in the profile report).
-  const std::vector<std::vector<std::size_t>> departures =
-      engine::DepartureSequences(trace.epochs, handles.size());
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
   std::vector<shard::FlowId64> departing;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     departing.clear();
-    for (std::size_t sequence : departures[epochs_served]) {
+    for (std::size_t sequence : epoch.departures) {
       departing.push_back(handles[sequence]);
     }
     if (params.kill_shard_at != 0 &&
@@ -634,9 +631,8 @@ int ServeTrace(int argc, char** argv) {
       "active flows (0 = re-solve every epoch)");
   const auto* seed = parser.AddInt(
       "seed", 1,
-      "rng seed; the churn trace derives deterministically from it via "
-      "the generator bench/engine_churn and bench/dynamic_churn share, so "
-      "equal seeds replay identical workloads everywhere");
+      "rng seed of the churn trace (engine::BuildChurnTrace): equal seed, "
+      "instance and churn flags replay the same arrivals and departures");
   const auto* fault_seed = parser.AddInt(
       "fault-seed", 0,
       "seed for deterministic fault injection (DESIGN.md Section 9.1); "
@@ -794,7 +790,7 @@ int ServeTrace(int argc, char** argv) {
                 static_cast<unsigned long long>(snapshot->version));
   };
 
-  // Every flow's ticket in arrival-sequence order (DepartureSequences'
+  // Every flow's ticket by arrival sequence (the trace's departure
   // numbering); departed entries stay in place.
   std::vector<engine::FlowTicket> handles;
   if (!restore->empty()) {
@@ -834,7 +830,7 @@ int ServeTrace(int argc, char** argv) {
     print_snapshot(prefill.size(), 0, 0);
   }
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = static_cast<std::size_t>(*arrival_count);
   churn.departure_probability = *departure_probability;
   const engine::ChurnTrace trace = engine::BuildChurnTrace(
@@ -855,14 +851,12 @@ int ServeTrace(int argc, char** argv) {
   // covers exactly the served epochs — not instance loading, churn-trace
   // synthesis, or the report writers (their samples would all be
   // unattributed noise in the profile report).
-  const std::vector<std::vector<std::size_t>> departures =
-      engine::DepartureSequences(trace.epochs, handles.size());
   if (profiler.has_value()) obs::InstallProfiler(&*profiler);
   std::size_t epochs_served = 0;
   std::vector<engine::FlowTicket> departing;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     departing.clear();
-    for (std::size_t sequence : departures[epochs_served]) {
+    for (std::size_t sequence : epoch.departures) {
       departing.push_back(handles[sequence]);
     }
     const engine::Engine::BatchResult batch =

@@ -82,7 +82,7 @@ std::string BuildFleetFile(const std::string& path) {
   options.pin_threads = false;
   shard::ShardedEngine fleet(g, options);
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 4;
   churn.departure_probability = 0.2;
   const engine::ChurnTrace trace =
@@ -103,7 +103,7 @@ std::string BuildEngineFile(const std::string& path) {
   options.lambda = 0.5;
   engine::Engine eng(g, options);
 
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.0;
   const engine::ChurnTrace trace =

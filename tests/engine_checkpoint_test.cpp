@@ -14,6 +14,7 @@
 #include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "io/text_format.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::engine {
@@ -26,43 +27,37 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 20) {
 
 ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
                      std::uint64_t seed) {
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   Rng rng(seed);
   return BuildChurnTrace(network, churn, epochs, 0, rng);
 }
 
-/// Replays epochs [from, to) of `trace`, maintaining the client-side
-/// ticket bookkeeping in `active` (which persists across engines — the
-/// whole point of ticket-exact restore).
+/// Replays epochs [from, to) of `trace`, appending each batch's tickets
+/// to `handles` (indexed by arrival sequence; it persists across engines
+/// — the whole point of ticket-exact restore).
 void ReplayRange(Engine& engine, const ChurnTrace& trace, std::size_t from,
-                 std::size_t to, std::vector<FlowTicket>& active) {
+                 std::size_t to, std::vector<FlowTicket>& handles) {
   for (std::size_t e = from; e < to; ++e) {
     const ChurnEpoch& epoch = trace.epochs[e];
     std::vector<FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      ASSERT_LT(position, active.size());
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      ASSERT_LT(sequence, handles.size());
+      departing.push_back(handles[sequence]);
     }
     const Engine::BatchResult result =
         engine.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    handles.insert(handles.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
 }
 
 std::string Serialize(const EngineCheckpoint& checkpoint,
-                      bool include_histograms = true,
-                      bool include_quality = true) {
+                      bool include_histograms = true) {
   std::ostringstream oss;
   io::EngineCheckpointWriteOptions options;
   options.include_histograms = include_histograms;
-  options.include_quality = include_quality;
   io::WriteEngineCheckpoint(oss, checkpoint, options);
   return oss.str();
 }
@@ -78,8 +73,8 @@ EngineOptions SyncOptions() {
 TEST(EngineCheckpointTest, TextRoundTripIsByteExact) {
   Engine engine(TestNetwork(61), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 8, 71);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
 
   const EngineCheckpoint checkpoint = engine.Checkpoint();
   const std::string text = Serialize(checkpoint);
@@ -106,15 +101,15 @@ TEST(EngineCheckpointTest, CrashRecoveryReplaysByteIdentically) {
 
   // Uninterrupted reference run.
   Engine reference(network, SyncOptions());
-  std::vector<FlowTicket> reference_active;
-  ReplayRange(reference, trace, 0, trace.epochs.size(), reference_active);
+  std::vector<FlowTicket> reference_handles;
+  ReplayRange(reference, trace, 0, trace.epochs.size(), reference_handles);
 
   // Crashed run: first half, checkpoint to text, restore, second half.
   std::string checkpoint_text;
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> handles;
   {
     Engine first_half(network, SyncOptions());
-    ReplayRange(first_half, trace, 0, half, active);
+    ReplayRange(first_half, trace, 0, half, handles);
     checkpoint_text = Serialize(first_half.Checkpoint());
   }  // first engine is gone — the text record is all that survives
 
@@ -123,7 +118,7 @@ TEST(EngineCheckpointTest, CrashRecoveryReplaysByteIdentically) {
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   Engine restored(network, SyncOptions());
   restored.Restore(*parsed.value);
-  ReplayRange(restored, trace, half, trace.epochs.size(), active);
+  ReplayRange(restored, trace, half, trace.epochs.size(), handles);
 
   // Byte-compare without the histogram section: latency samples are wall
   // times, not replayed state.  Sample *counts* are deterministic, though
@@ -143,7 +138,7 @@ TEST(EngineCheckpointTest, CrashRecoveryReplaysByteIdentically) {
             reference_cp.greedy_round_histogram.count);
   // Client-held tickets drawn after the restore match the uninterrupted
   // run's tickets (the free-slot stack round-tripped).
-  EXPECT_EQ(active, reference_active);
+  EXPECT_EQ(handles, reference_handles);
   const auto restored_snapshot = restored.CurrentSnapshot();
   const auto reference_snapshot = reference.CurrentSnapshot();
   EXPECT_EQ(restored_snapshot->version, reference_snapshot->version);
@@ -155,25 +150,26 @@ TEST(EngineCheckpointTest, CrashRecoveryReplaysByteIdentically) {
 TEST(EngineCheckpointTest, RestoredEngineKeepsServingUnderChurn) {
   const graph::Digraph network = TestNetwork(63);
   const ChurnTrace trace = MakeTrace(network, 10, 73);
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> handles;
   Engine engine(network, SyncOptions());
-  ReplayRange(engine, trace, 0, 5, active);
+  ReplayRange(engine, trace, 0, 5, handles);
   const EngineCheckpoint checkpoint = engine.Checkpoint();
 
   Engine restored(network, SyncOptions());
   restored.Restore(checkpoint);
-  ReplayRange(restored, trace, 5, trace.epochs.size(), active);
+  ReplayRange(restored, trace, 5, trace.epochs.size(), handles);
   EXPECT_TRUE(restored.CurrentSnapshot()->feasible);
   EXPECT_LE(restored.CurrentSnapshot()->deployment.size(),
             SyncOptions().k);
-  EXPECT_EQ(restored.index().active_flows(), active.size());
+  EXPECT_EQ(restored.index().active_flows(),
+            test::LiveHandles(handles, trace.epochs).size());
 }
 
 TEST(EngineCheckpointTest, HistogramSectionRoundTrips) {
   Engine engine(TestNetwork(65), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 6, 75);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
 
   const EngineCheckpoint checkpoint = engine.Checkpoint();
   // A synchronous engine records one patch and one index-delta sample per
@@ -201,8 +197,8 @@ TEST(EngineCheckpointTest, HistogramSectionRoundTrips) {
 TEST(EngineCheckpointTest, RecordWithoutHistogramSectionStillParses) {
   Engine engine(TestNetwork(66), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 4, 76);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
 
   // A record written before the section existed (or with the section
   // omitted) restores with empty histograms rather than failing.
@@ -221,8 +217,8 @@ TEST(EngineCheckpointTest, RecordWithoutHistogramSectionStillParses) {
 TEST(EngineCheckpointTest, CorruptHistogramSectionsAreRejected) {
   Engine engine(TestNetwork(67), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 4, 77);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
   const std::string good = Serialize(engine.Checkpoint());
   ASSERT_NE(good.find("histograms 4"), std::string::npos);
 
@@ -274,8 +270,8 @@ TEST(EngineCheckpointTest, CorruptHistogramSectionsAreRejected) {
 TEST(EngineCheckpointTest, QualitySectionRoundTrips) {
   Engine engine(TestNetwork(68), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 6, 78);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
 
   const EngineCheckpoint checkpoint = engine.Checkpoint();
   ASSERT_TRUE(checkpoint.has_quality);
@@ -317,14 +313,14 @@ TEST(EngineCheckpointTest, QualityTimelineRestoresByteIdentically) {
   const std::size_t half = trace.epochs.size() / 2;
 
   Engine reference(network, SyncOptions());
-  std::vector<FlowTicket> reference_active;
-  ReplayRange(reference, trace, 0, trace.epochs.size(), reference_active);
+  std::vector<FlowTicket> reference_handles;
+  ReplayRange(reference, trace, 0, trace.epochs.size(), reference_handles);
 
   std::string checkpoint_text;
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> handles;
   {
     Engine first_half(network, SyncOptions());
-    ReplayRange(first_half, trace, 0, half, active);
+    ReplayRange(first_half, trace, 0, half, handles);
     checkpoint_text = Serialize(first_half.Checkpoint());
   }
   std::istringstream iss(checkpoint_text);
@@ -332,7 +328,7 @@ TEST(EngineCheckpointTest, QualityTimelineRestoresByteIdentically) {
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   Engine restored(network, SyncOptions());
   restored.Restore(*parsed.value);
-  ReplayRange(restored, trace, half, trace.epochs.size(), active);
+  ReplayRange(restored, trace, half, trace.epochs.size(), handles);
 
   // Histograms carry wall times; everything else — including the quality
   // section with its detector accumulators — must match byte for byte.
@@ -343,12 +339,13 @@ TEST(EngineCheckpointTest, QualityTimelineRestoresByteIdentically) {
 TEST(EngineCheckpointTest, RecordWithoutQualitySectionStaysCompatible) {
   Engine engine(TestNetwork(70), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 4, 80);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
-  const EngineCheckpoint checkpoint = engine.Checkpoint();
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
+  EngineCheckpoint checkpoint = engine.Checkpoint();
 
-  // include_quality=false writes the pre-quality record byte stream.
-  const std::string text = Serialize(checkpoint, true, false);
+  // A record without the quality section is the pre-quality byte stream.
+  checkpoint.has_quality = false;
+  const std::string text = Serialize(checkpoint);
   EXPECT_EQ(text.find("quality"), std::string::npos);
   std::istringstream iss(text);
   const io::Parsed<EngineCheckpoint> parsed = io::ReadEngineCheckpoint(iss);
@@ -374,8 +371,8 @@ TEST(EngineCheckpointTest, RecordWithoutQualitySectionStaysCompatible) {
 TEST(EngineCheckpointTest, CorruptQualitySectionsAreRejected) {
   Engine engine(TestNetwork(71), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 5, 81);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
   const std::string good = Serialize(engine.Checkpoint());
   ASSERT_NE(good.find("quality v1"), std::string::npos);
 
@@ -428,8 +425,8 @@ TEST(EngineCheckpointTest, CorruptQualitySectionsAreRejected) {
 TEST(EngineCheckpointTest, CorruptRecordsAreRejectedWithLineNumbers) {
   Engine engine(TestNetwork(64), SyncOptions());
   const ChurnTrace trace = MakeTrace(engine.index().network(), 4, 74);
-  std::vector<FlowTicket> active;
-  ReplayRange(engine, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowTicket> handles;
+  ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
   const std::string good = Serialize(engine.Checkpoint());
 
   const auto reject = [](const std::string& text) {

@@ -11,6 +11,7 @@
 #include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "faults/faults.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::engine {
@@ -43,29 +44,27 @@ traffic::Flow DescendingLineFlow(Rate rate, VertexId from) {
 
 ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
                      std::uint64_t seed) {
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.25;
   Rng rng(seed);
   return BuildChurnTrace(network, churn, epochs, 0, rng);
 }
 
+/// Replays `trace`, appending each batch's tickets to `handles` (indexed
+/// by arrival sequence).
 void Replay(Engine& engine, const ChurnTrace& trace,
-            std::vector<FlowTicket>& active) {
+            std::vector<FlowTicket>& handles) {
   for (const ChurnEpoch& epoch : trace.epochs) {
     std::vector<FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      ASSERT_LT(position, active.size());
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      ASSERT_LT(sequence, handles.size());
+      departing.push_back(handles[sequence]);
     }
     const Engine::BatchResult result =
         engine.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    handles.insert(handles.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
 }
 
@@ -95,8 +94,8 @@ TEST(EngineFaultTest, SameSeedReplaysByteIdentically) {
     options.k = 5;
     options.fault_injector = &injector;
     Engine engine(network, options);
-    std::vector<FlowTicket> active;
-    Replay(engine, trace, active);
+    std::vector<FlowTicket> handles;
+    Replay(engine, trace, handles);
     const auto snapshot = engine.CurrentSnapshot();
     return RunResult{snapshot->deployment.ToString(), snapshot->bandwidth,
                      injector.Events(), engine.stats().index_fault_retries,
@@ -127,15 +126,17 @@ TEST(EngineFaultTest, IndexDeltaFaultsAreRetriedWithoutStateDamage) {
   Engine engine(TestNetwork(42), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 8, 52);
-  std::vector<FlowTicket> active;
-  Replay(engine, trace, active);
+  std::vector<FlowTicket> handles;
+  Replay(engine, trace, handles);
 
   const EngineStats stats = engine.stats();
   EXPECT_GT(stats.index_fault_retries, 0u);
   // Every arrival landed once despite the injected throws.
-  EXPECT_EQ(engine.index().active_flows(), active.size());
+  const std::vector<FlowTicket> live =
+      test::LiveHandles(handles, trace.epochs);
+  EXPECT_EQ(engine.index().active_flows(), live.size());
   EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
-  for (FlowTicket t : active) {
+  for (FlowTicket t : live) {
     EXPECT_TRUE(engine.index().Contains(t));
   }
 }
@@ -240,8 +241,8 @@ TEST(EngineFaultTest, ResolveAccountingBalancesUnderFaults) {
   Engine engine(TestNetwork(44), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 15, 54);
-  std::vector<FlowTicket> active;
-  Replay(engine, trace, active);
+  std::vector<FlowTicket> handles;
+  Replay(engine, trace, handles);
 
   const EngineStats stats = engine.stats();
   // PATCH_ONLY epochs skip re-solves, so started can be below the epoch
@@ -270,8 +271,8 @@ TEST(EngineFaultTest, DisarmedInjectorChangesNothing) {
   Engine engine(TestNetwork(45), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 6, 55);
-  std::vector<FlowTicket> active;
-  Replay(engine, trace, active);
+  std::vector<FlowTicket> handles;
+  Replay(engine, trace, handles);
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.resolve_failures, 0u);

@@ -165,7 +165,7 @@ TEST(IncrementalGtpPropertyTest, MatchesBatchAfterChurn) {
 
 // The engine's re-solve mode: feasibility-aware selection while flows are
 // unserved, CELF afterwards.  Must match batch GTP's feasibility_aware
-// mode (the DynamicPlacer default solver) exactly.
+// mode (the churn benches' from-scratch reference) exactly.
 TEST(IncrementalGtpPropertyTest, FeasibilityAwareMatchesBatch) {
   Rng rng(911);
   for (int trial = 0; trial < 60; ++trial) {

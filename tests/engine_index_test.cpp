@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 #include <tuple>
 #include <vector>
 
-#include "core/dynamic.hpp"
 #include "engine/churn_trace.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
@@ -231,67 +229,30 @@ TEST(FlowCoverageIndexTest, BuildInstanceMatchesActiveFlows) {
 TEST(FlowCoverageIndexSoakTest, FiftyEpochsMatchRebuild) {
   graph::Digraph network = TestNetwork(7, 24);
   FlowCoverageIndex index(network, 0.37);  // non-dyadic lambda on purpose
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 12;
   churn.departure_probability = 0.3;
   Rng rng(99);
   const ChurnTrace trace = BuildChurnTrace(network, churn, 50, 0, rng);
 
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> handles;  // by arrival sequence
   for (const ChurnEpoch& epoch : trace.epochs) {
-    // Departures index the pre-arrival active list, ascending; erase from
-    // the back so earlier indices stay valid.
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      ASSERT_LT(*it, active.size());
-      ASSERT_TRUE(index.RemoveFlow(active[*it]));
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      ASSERT_LT(sequence, handles.size());
+      ASSERT_TRUE(index.RemoveFlow(handles[sequence]));
     }
     for (const traffic::Flow& flow : epoch.arrivals) {
-      active.push_back(index.AddFlow(flow));
+      handles.push_back(index.AddFlow(flow));
     }
   }
 
-  ASSERT_EQ(index.active_flows(), active.size());
-  ASSERT_EQ(active.size(), trace.FinalActiveCount(0));
+  ASSERT_EQ(index.active_flows(),
+            test::LiveHandles(handles, trace.epochs).size());
   const FlowCoverageIndex rebuilt = Rebuild(index);
   EXPECT_EQ(Canonicalize(index), Canonicalize(rebuilt));
   EXPECT_NEAR(index.unprocessed_bandwidth(),
               rebuilt.unprocessed_bandwidth(), 1e-9);
   EXPECT_GT(index.stats().delta_ops, 0u);
-}
-
-// Replay loops resolve positional departures up front: the sequence
-// numbers DepartureSequences names must be exactly the flows a positional
-// replay departs, epoch by epoch.
-TEST(ChurnTraceTest, DepartureSequencesMatchPositionalReplay) {
-  graph::Digraph network = TestNetwork(9, 24);
-  core::ChurnModel churn;
-  churn.arrival_count = 7;
-  churn.departure_probability = 0.3;
-  constexpr std::size_t kInitial = 10;
-  const ChurnTrace trace = BuildChurnTrace(network, churn, 30, kInitial, 5);
-  const std::vector<std::vector<std::size_t>> sequences =
-      DepartureSequences(trace.epochs, kInitial);
-  ASSERT_EQ(sequences.size(), trace.epochs.size());
-
-  std::vector<std::size_t> active(kInitial);
-  std::iota(active.begin(), active.end(), std::size_t{0});
-  std::size_t next_sequence = kInitial;
-  for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
-    std::vector<std::size_t> departed;
-    for (std::size_t position : trace.epochs[e].departures) {
-      departed.push_back(active[position]);
-    }
-    for (auto it = trace.epochs[e].departures.rbegin();
-         it != trace.epochs[e].departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    EXPECT_EQ(sequences[e], departed) << "epoch " << e;
-    for (std::size_t i = 0; i < trace.epochs[e].arrivals.size(); ++i) {
-      active.push_back(next_sequence++);
-    }
-  }
 }
 
 }  // namespace

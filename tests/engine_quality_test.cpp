@@ -41,15 +41,6 @@ traffic::FlowSet Prefill(const graph::Digraph& network, std::uint64_t seed,
   return traffic::GenerateGeneralWorkload(network, {}, params, rng);
 }
 
-ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
-                     std::uint64_t seed) {
-  core::ChurnModel churn;
-  churn.arrival_count = 3;
-  churn.departure_probability = 0.2;
-  Rng rng(seed);
-  return BuildChurnTrace(network, churn, epochs, 0, rng);
-}
-
 /// Descending line digraph n-1 -> ... -> 0; the feasibility patch (ties
 /// toward the lowest vertex id) covers whole-line flows at vertex 0 where
 /// they diminish zero edges, so a PATCH_ONLY engine realizes a decrement
@@ -69,46 +60,46 @@ traffic::Flow DescendingLineFlow(Rate rate, VertexId from) {
   return f;
 }
 
-/// Replays the trace while mirroring the engine's active flow set, and
-/// after every epoch cross-validates the freshest quality sample against
-/// a from-scratch core::Instance of the same flows: the sampled decrement
-/// must match unprocessed - bandwidth, the certified bound must cover the
-/// realized decrement, and on these small instances the bound must also
-/// cover the exact brute-force optimum (the claim it certifies).
+/// Serves `prefill` and then 8 epochs of churn drawn from `trace_seed`
+/// (the prefill counts as live), and after every epoch cross-validates the
+/// freshest quality sample against a from-scratch core::Instance of the
+/// live flows: the sampled decrement must match unprocessed - bandwidth,
+/// the certified bound must cover the realized decrement, and on these
+/// small instances the bound must also cover the exact brute-force
+/// optimum (the claim it certifies).
 void ReplayAndValidate(const graph::Digraph& network,
                        const traffic::FlowSet& prefill,
-                       const ChurnTrace& trace, std::size_t k,
+                       std::uint64_t trace_seed, std::size_t k,
                        double lambda) {
   EngineOptions options;
   options.k = k;
   options.lambda = lambda;
   Engine engine(network, options);
 
-  std::vector<FlowTicket> tickets;
-  std::vector<traffic::Flow> mirror;
-  const auto submit = [&](const std::vector<traffic::Flow>& arrivals,
-                          const std::vector<std::size_t>& departures) {
-    std::vector<FlowTicket> departing;
-    for (std::size_t position : departures) {
-      ASSERT_LT(position, tickets.size());
-      departing.push_back(tickets[position]);
-    }
-    for (auto it = departures.rbegin(); it != departures.rend(); ++it) {
-      const auto offset = static_cast<std::ptrdiff_t>(*it);
-      tickets.erase(tickets.begin() + offset);
-      mirror.erase(mirror.begin() + offset);
-    }
-    const Engine::BatchResult result =
-        engine.SubmitBatch(arrivals, departing);
-    tickets.insert(tickets.end(), result.tickets.begin(),
-                   result.tickets.end());
-    mirror.insert(mirror.end(), arrivals.begin(), arrivals.end());
-  };
+  ChurnModel churn;
+  churn.arrival_count = 3;
+  churn.departure_probability = 0.2;
+  const ChurnTrace trace =
+      BuildChurnTrace(network, churn, 8, prefill.size(), trace_seed);
 
-  submit(prefill, {});
+  // Every flow and its ticket by arrival sequence, and which are live.
+  traffic::FlowSet flows = prefill;
+  std::vector<FlowTicket> tickets = engine.SubmitBatch(prefill, {}).tickets;
+  std::vector<bool> live(flows.size(), true);
   std::size_t certified_samples = 0;
   for (const ChurnEpoch& epoch : trace.epochs) {
-    submit(epoch.arrivals, epoch.departures);
+    std::vector<FlowTicket> departing;
+    for (std::size_t sequence : epoch.departures) {
+      ASSERT_LT(sequence, tickets.size());
+      departing.push_back(tickets[sequence]);
+      live[sequence] = false;
+    }
+    const Engine::BatchResult result =
+        engine.SubmitBatch(epoch.arrivals, departing);
+    tickets.insert(tickets.end(), result.tickets.begin(),
+                   result.tickets.end());
+    flows.insert(flows.end(), epoch.arrivals.begin(), epoch.arrivals.end());
+    live.resize(flows.size(), true);
     const obs::QualityTimelineSnapshot timeline = engine.QualityTimeline();
     ASSERT_FALSE(timeline.samples.empty());
     const obs::QualitySample& sample = timeline.samples.back();
@@ -120,6 +111,10 @@ void ReplayAndValidate(const graph::Digraph& network,
                      sample.unprocessed - sample.bandwidth);
     EXPECT_LE(sample.decrement, sample.opt_bound + kTol);
 
+    traffic::FlowSet mirror;
+    for (std::size_t sequence = 0; sequence < flows.size(); ++sequence) {
+      if (live[sequence]) mirror.push_back(flows[sequence]);
+    }
     if (mirror.empty()) continue;
     const core::Instance instance(network, mirror, lambda);
     EXPECT_DOUBLE_EQ(sample.unprocessed, instance.UnprocessedBandwidth());
@@ -137,8 +132,7 @@ TEST(EngineQualityTest, CertificateCoversOptimumOnGeneralInstances) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const graph::Digraph network = GeneralNetwork(seed, 9);
     ReplayAndValidate(network, Prefill(network, seed + 100, 8),
-                      MakeTrace(network, 8, seed + 200), /*k=*/2,
-                      /*lambda=*/0.5);
+                      /*trace_seed=*/seed + 200, /*k=*/2, /*lambda=*/0.5);
   }
 }
 
@@ -153,7 +147,7 @@ TEST(EngineQualityTest, CertificateCoversOptimumOnTreeInstances) {
     Rng wl_rng(seed + 300);
     const traffic::FlowSet prefill =
         traffic::GenerateTreeWorkload(tree, params, wl_rng);
-    ReplayAndValidate(network, prefill, MakeTrace(network, 8, seed + 400),
+    ReplayAndValidate(network, prefill, /*trace_seed=*/seed + 400,
                       /*k=*/2, /*lambda=*/0.4);
   }
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "analysis/audit.hpp"
-#include "core/dynamic.hpp"
 #include "core/gtp.hpp"
 #include "engine/churn_trace.hpp"
 #include "test_util.hpp"
@@ -24,26 +23,22 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 24) {
   return topology::Waxman(n, 0.5, 0.4, rng);
 }
 
-/// Drives `engine` through `trace`, translating the trace's positional
-/// departures into tickets (the bookkeeping a real client would do).
-/// Calls `on_epoch` after every batch.
+/// Drives `engine` through `trace`, translating the trace's departure
+/// sequence numbers into tickets (the bookkeeping a real client would
+/// do).  Calls `on_epoch` after every batch.
 template <typename OnEpoch>
 void Replay(Engine& engine, const ChurnTrace& trace, OnEpoch&& on_epoch) {
-  std::vector<FlowTicket> active;
+  std::vector<FlowTicket> handles;  // by arrival sequence
   for (const ChurnEpoch& epoch : trace.epochs) {
     std::vector<FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      ASSERT_LT(position, active.size());
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      ASSERT_LT(sequence, handles.size());
+      departing.push_back(handles[sequence]);
     }
     const Engine::BatchResult result =
         engine.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    handles.insert(handles.end(), result.tickets.begin(),
+                   result.tickets.end());
     on_epoch(result);
   }
 }
@@ -51,7 +46,7 @@ void Replay(Engine& engine, const ChurnTrace& trace, OnEpoch&& on_epoch) {
 ChurnTrace MakeTrace(const graph::Digraph& network, std::size_t epochs,
                      std::uint64_t seed, std::size_t arrival_count = 8,
                      double departure_probability = 0.25) {
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = arrival_count;
   churn.departure_probability = departure_probability;
   Rng rng(seed);
@@ -129,7 +124,7 @@ TEST(EngineTest, ZeroThresholdTracksBatchGtpQuality) {
   // With zero hysteresis the engine adopts any feasible re-solve that is
   // at least as good, so the published plan can never be worse than the
   // from-scratch answer of its own solver class (feasibility-aware
-  // budgeted GTP, the DynamicPlacer reference) on the same flow set.
+  // budgeted GTP) on the same flow set.
   core::GtpOptions batch_options;
   batch_options.max_middleboxes = options.k;
   batch_options.feasibility_aware = true;
@@ -139,6 +134,59 @@ TEST(EngineTest, ZeroThresholdTracksBatchGtpQuality) {
   EXPECT_TRUE(snapshot->feasible);
   EXPECT_LE(snapshot->bandwidth, batch.bandwidth + 1e-9);
   EXPECT_GT(engine.stats().adoptions, 0u);
+}
+
+// The engine as the dynamic placer of the churn extension: with no
+// hysteresis the plan it maintains is never *worse* than the re-solve
+// from scratch, at every epoch.  (It can be strictly better: the patched
+// historical plan sometimes beats a fresh greedy run.)
+TEST(DynamicPlacerTest, ZeroThresholdNeverWorseThanResolve) {
+  EngineOptions options;
+  options.k = 6;
+  options.lambda = 0.5;
+  options.move_threshold = 0.0;
+  Engine engine(TestNetwork(6, 20), options);
+
+  core::GtpOptions resolve_options;
+  resolve_options.max_middleboxes = options.k;
+  resolve_options.feasibility_aware = true;
+  Rng rng(7);
+  const ChurnTrace trace =
+      BuildChurnTrace(engine.index().network(), ChurnModel{}, 10, 0, rng);
+  Replay(engine, trace, [&](const Engine::BatchResult& result) {
+    const core::PlacementResult resolve =
+        Gtp(engine.index().BuildInstance(), resolve_options);
+    const auto snapshot = engine.CurrentSnapshot();
+    EXPECT_TRUE(snapshot->feasible) << "epoch " << result.epoch;
+    EXPECT_LE(snapshot->bandwidth, resolve.bandwidth + 1e-9)
+        << "epoch " << result.epoch;
+  });
+}
+
+// Across thresholds, total moves fall while total maintained bandwidth
+// (regret) rises: the stability/optimality trade-off bench/dynamic_churn
+// sweeps.
+TEST(EngineTest, ThresholdTradesMovesForBandwidth) {
+  const graph::Digraph network = TestNetwork(10);
+  const ChurnTrace trace = MakeTrace(network, 12, 11, /*arrival_count=*/6,
+                                     /*departure_probability=*/0.15);
+  const auto run = [&](double threshold) {
+    EngineOptions options;
+    options.k = 6;
+    options.move_threshold = threshold;
+    Engine engine(network, options);
+    double bandwidth = 0.0;
+    Replay(engine, trace, [&](const Engine::BatchResult&) {
+      bandwidth += engine.CurrentSnapshot()->bandwidth;
+    });
+    const EngineStats stats = engine.stats();
+    return std::pair<std::uint64_t, double>(
+        stats.patch_boxes + stats.middlebox_moves, bandwidth);
+  };
+  const auto [eager_moves, eager_bw] = run(0.0);
+  const auto [lazy_moves, lazy_bw] = run(1e9);
+  EXPECT_LE(lazy_moves, eager_moves);
+  EXPECT_GE(lazy_bw + 1e-9, eager_bw);
 }
 
 std::ptrdiff_t CountProcessThreads() {
@@ -165,10 +213,10 @@ TEST(EngineTest, DepartingEveryFlowReturnsToEmptyFeasibility) {
   Engine engine(TestNetwork(16), options);
 
   Rng rng(30);
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 10;
   const traffic::FlowSet arrivals =
-      core::DrawArrivals(engine.index().network(), churn, rng);
+      DrawArrivals(engine.index().network(), churn, rng);
   const Engine::BatchResult first = engine.SubmitBatch(arrivals, {});
   ASSERT_EQ(first.tickets.size(), arrivals.size());
   EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
@@ -192,10 +240,10 @@ TEST(EngineTest, DuplicateDeparturesAreCountedNoOps) {
   Engine engine(TestNetwork(18), options);
 
   Rng rng(31);
-  core::ChurnModel churn;
+  ChurnModel churn;
   churn.arrival_count = 6;
   const traffic::FlowSet arrivals =
-      core::DrawArrivals(engine.index().network(), churn, rng);
+      DrawArrivals(engine.index().network(), churn, rng);
   const Engine::BatchResult first = engine.SubmitBatch(arrivals, {});
   ASSERT_EQ(first.tickets.size(), arrivals.size());
 

@@ -194,6 +194,48 @@ TEST(FleetReportTest, FlowRecordsDoNotPolluteChains) {
   EXPECT_EQ(report.connected, 1u);
 }
 
+TEST(FleetReportTest, PartialTraceLeavesBatchesMissingALegUnscored) {
+  // The rings overwrote batch 1's worker events and batch 2's submit span;
+  // batch 3 is complete, and batch 4 was dequeued but never adopted (its
+  // adoption would have landed after the dequeue, in the same ring).
+  const std::string events = Trace({
+      Span("fleet-submit", 0, 100, 50, 1, 1),
+      Span("queue-dwell", 1, 200, 10, 0, 2),
+      Span("patch", 1, 210, 20, 0, 2),
+      Instant("batch-adopted", 1, 240, 1, 2),
+      ConnectedBatch(3, 1, 0, 300),
+      Span("fleet-submit", 0, 400, 50, 1, 4),
+      Span("queue-dwell", 1, 400, 10, 0, 4),
+  });
+  std::string partial = events;
+  partial.insert(partial.size() - 1, R"(,"otherData":{"dropped":"7"})");
+  const FleetReport report = Build(partial);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.batches, 4u);
+  EXPECT_EQ(report.unscored, 2u);
+  EXPECT_EQ(report.connected, 1u);
+  ASSERT_EQ(report.disconnected_ids.size(), 1u);
+  EXPECT_EQ(report.disconnected_ids[0], 4u);
+  std::ostringstream table;
+  WriteFleetReport(table, report);
+  EXPECT_NE(table.str().find("4 batches (1 connected, 50.0% of 2 scored; "
+                             "2 unscored, legs dropped)"),
+            std::string::npos)
+      << table.str();
+
+  // A complete trace scores every batch.
+  const FleetReport complete = Build(events);
+  ASSERT_TRUE(complete.ok) << complete.error;
+  EXPECT_EQ(complete.unscored, 0u);
+  EXPECT_EQ(complete.connected, 1u);
+  EXPECT_EQ(complete.disconnected_ids.size(), 3u);
+  std::ostringstream complete_table;
+  WriteFleetReport(complete_table, complete);
+  EXPECT_NE(complete_table.str().find("4 batches (1 connected, 25.0%)"),
+            std::string::npos)
+      << complete_table.str();
+}
+
 TEST(FleetReportTest, QueueDwellShareReflectsStragglerDwell) {
   // One batch, dwell 10 of e2e 40 -> share 25%.
   const FleetReport report = Build(Trace({ConnectedBatch(1, 1, 0, 0)}));

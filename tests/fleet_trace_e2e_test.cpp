@@ -44,7 +44,7 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 30) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
@@ -68,21 +68,17 @@ std::string Prometheus(ShardedEngine& fleet) {
 }
 
 void ReplayFleet(ShardedEngine& fleet, const engine::ChurnTrace& trace,
-                 std::vector<FlowId64>& active) {
+                 std::vector<FlowId64>& handles) {
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     std::vector<FlowId64> departures;
     departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(handles[sequence]);
     }
     const ShardedEngine::BatchResult result =
         fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    handles.insert(handles.end(), result.flow_ids.begin(),
+                   result.flow_ids.end());
   }
 }
 
@@ -94,10 +90,10 @@ TEST(FleetTraceE2eTest, FourShardTracedRunReconstructsConnectedChains) {
 
   obs::Tracer tracer;
   ShardedEngine fleet(g, FleetOptions(4, 8));
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   {
     ScopedInstall install(&tracer);
-    ReplayFleet(fleet, trace, active);
+    ReplayFleet(fleet, trace, handles);
     fleet.Drain();
   }
 
@@ -139,10 +135,10 @@ TEST(FleetTraceE2eTest, QualitySectionPrintsOneSeriesPerShard) {
 
   obs::Tracer tracer;
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   {
     ScopedInstall install(&tracer);
-    ReplayFleet(fleet, trace, active);
+    ReplayFleet(fleet, trace, handles);
     fleet.Drain();
   }
 
@@ -185,8 +181,8 @@ TEST(FleetTraceE2eTest, MetricsExposeE2ePipelineAndDropTotal) {
   const graph::Digraph g = TestNetwork(5);
   const engine::ChurnTrace trace = MakeTrace(g, 8, 5);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, handles);
   fleet.Drain();
 
   const std::string metrics = Prometheus(fleet);
@@ -226,21 +222,17 @@ TEST(FleetTraceE2eTest, SloBurnAlertRaisesUnderBurnAndClearsAfter) {
   // clean epochs per burning one).
   options.e2e_alert.slack = 0.25;
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     std::vector<FlowId64> departures;
     departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(handles[sequence]);
     }
     const ShardedEngine::BatchResult result =
         fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    handles.insert(handles.end(), result.flow_ids.begin(),
+                   result.flow_ids.end());
     // Quiesce so the next submit's sample sees this epoch's violations.
     fleet.Drain();
   }
@@ -277,7 +269,7 @@ TEST(FleetTraceE2eTest, SloBurnAlertRaisesUnderBurnAndClearsAfter) {
 
 TEST(FleetTraceE2eTest, RecoveryAndShedInstantsLandInBothReports) {
   const graph::Digraph g = TestNetwork(9, 20);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 5;
   churn.departure_probability = 0.25;
   const engine::ChurnTrace trace =
@@ -303,22 +295,18 @@ TEST(FleetTraceE2eTest, RecoveryAndShedInstantsLandInBothReports) {
   {
     ScopedInstall install(&tracer);
     ShardedEngine fleet(g, options);
-    std::vector<FlowId64> active;
+    std::vector<FlowId64> handles;
     for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
       if (e == 4) fleet.CrashShard(1);
       std::vector<FlowId64> departures;
       departures.reserve(trace.epochs[e].departures.size());
-      for (const std::size_t index : trace.epochs[e].departures) {
-        departures.push_back(active[index]);
-      }
-      for (auto it = trace.epochs[e].departures.rbegin();
-           it != trace.epochs[e].departures.rend(); ++it) {
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+      for (std::size_t sequence : trace.epochs[e].departures) {
+        departures.push_back(handles[sequence]);
       }
       const ShardedEngine::BatchResult result =
           fleet.SubmitBatch(trace.epochs[e].arrivals, departures);
-      active.insert(active.end(), result.flow_ids.begin(),
-                    result.flow_ids.end());
+      handles.insert(handles.end(), result.flow_ids.begin(),
+                     result.flow_ids.end());
     }
     fleet.Drain();
     fleet.Supervise();
@@ -375,8 +363,8 @@ TEST(FleetTraceE2eTest, ShardSplitMatchesFleetSnapshot) {
   const graph::Digraph g = TestNetwork(7);
   const engine::ChurnTrace trace = MakeTrace(g, 8, 7);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, handles);
   const FleetSnapshot snapshot = fleet.Snapshot();
   ASSERT_EQ(snapshot.shards.size(), 2u);
   std::stringstream dump;

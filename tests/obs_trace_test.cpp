@@ -180,7 +180,7 @@ TEST(ObsTraceTest, DroppedEventsMarkTheTraceReportPartial) {
 TEST(ObsTraceTest, TracedEngineRunEmitsExpectedPhases) {
   Rng rng(91);
   const graph::Digraph network = topology::Waxman(20, 0.5, 0.4, rng);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.2;
   Rng trace_rng(92);
@@ -192,19 +192,15 @@ TEST(ObsTraceTest, TracedEngineRunEmitsExpectedPhases) {
   engine::EngineOptions options;
   options.k = 4;
   engine::Engine eng(network, options);
-  std::vector<engine::FlowTicket> active;
+  std::vector<engine::FlowTicket> handles;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     std::vector<engine::FlowTicket> departing;
-    for (std::size_t position : epoch.departures) {
-      departing.push_back(active[position]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departing.push_back(handles[sequence]);
     }
     const auto result = eng.SubmitBatch(epoch.arrivals, departing);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    handles.insert(handles.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
   (void)eng.Checkpoint();
 

@@ -17,6 +17,7 @@
 #include "engine/churn_trace.hpp"
 #include "faults/faults.hpp"
 #include "shard/sharded_engine.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -81,7 +82,7 @@ TEST(ShardBackpressureTest, OverloadShedsWithoutLosingFlows) {
   // consumer regime.  The fleet must block at the high-water mark, shed
   // past the deadline, and still admit every arrival exactly once.
   const graph::Digraph g = TestNetwork(103);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 5;
   churn.departure_probability = 0.25;
   const engine::ChurnTrace trace =
@@ -107,22 +108,18 @@ TEST(ShardBackpressureTest, OverloadShedsWithoutLosingFlows) {
   options.shed_alert.threshold = 0.25;
   ShardedEngine fleet(g, options);
 
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   std::size_t submitted = 0;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     std::vector<FlowId64> departures;
     departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin();
-         it != epoch.departures.rend(); ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(handles[sequence]);
     }
     const ShardedEngine::BatchResult result =
         fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    handles.insert(handles.end(), result.flow_ids.begin(),
+                   result.flow_ids.end());
     submitted += epoch.arrivals.size() + departures.size();
   }
   fleet.Drain();
@@ -143,13 +140,13 @@ TEST(ShardBackpressureTest, OverloadShedsWithoutLosingFlows) {
     fleet_flows += status.active_flows;
     EXPECT_EQ(status.queue_occupancy, 0u);  // drained
   }
-  EXPECT_EQ(fleet_flows, active.size());
+  const std::vector<FlowId64> live = test::LiveHandles(handles, trace.epochs);
+  EXPECT_EQ(fleet_flows, live.size());
   EXPECT_GT(snapshot.bandwidth, 0.0);
 
   // The shed flows really are live: departing every one of them must be
   // routable (a lost ticket would trip the owner-shard CHECK).
-  const ShardedEngine::BatchResult none =
-      fleet.SubmitBatch({}, active);
+  const ShardedEngine::BatchResult none = fleet.SubmitBatch({}, live);
   EXPECT_TRUE(none.flow_ids.empty());
   fleet.Drain();
   const FleetSnapshot empty = fleet.Snapshot();
@@ -164,7 +161,7 @@ TEST(ShardBackpressureTest, UnboundedQueuesNeverShed) {
   // queue_depth = 0 disables the whole overload posture even with the
   // same consumer stalls: nothing blocks, nothing sheds.
   const graph::Digraph g = TestNetwork(107);
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 4;
   churn.departure_probability = 0.0;
   const engine::ChurnTrace trace =

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "io/text_format.hpp"
 #include "checkpoint_compare.hpp"
 #include "shard/sharded_engine.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -34,7 +36,7 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 30) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
@@ -42,22 +44,18 @@ engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
 
 void ReplayFleet(ShardedEngine& fleet, const engine::ChurnTrace& trace,
                  std::size_t from, std::size_t to,
-                 std::vector<FlowId64>& active) {
+                 std::vector<FlowId64>& handles) {
   for (std::size_t e = from; e < to; ++e) {
     const engine::ChurnEpoch& epoch = trace.epochs[e];
     std::vector<FlowId64> departures;
     departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(handles[sequence]);
     }
     const ShardedEngine::BatchResult result =
         fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    handles.insert(handles.end(), result.flow_ids.begin(),
+                   result.flow_ids.end());
   }
   fleet.Drain();
 }
@@ -85,8 +83,8 @@ TEST(ShardCheckpointTest, WriteReadWriteIsByteIdentical) {
   const graph::Digraph g = TestNetwork(71);
   const engine::ChurnTrace trace = MakeTrace(g, 8, 3);
   ShardedEngine fleet(g, FleetOptions(3, 9));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
 
   const FleetCheckpoint cp = fleet.Checkpoint();
   const std::string first = Serialize(cp);
@@ -115,27 +113,30 @@ TEST(ShardCheckpointTest, ResumesMidChurnWithSamePlacements) {
 
   // Uninterrupted run over all 12 epochs.
   ShardedEngine uninterrupted(g, options);
-  std::vector<FlowId64> active_a;
-  ReplayFleet(uninterrupted, trace, 0, trace.epochs.size(), active_a);
+  std::vector<FlowId64> handles_a;
+  ReplayFleet(uninterrupted, trace, 0, trace.epochs.size(), handles_a);
 
   // Checkpoint a second fleet mid-churn...
   ShardedEngine first_half(g, options);
-  std::vector<FlowId64> active_b;
-  ReplayFleet(first_half, trace, 0, 6, active_b);
+  std::vector<FlowId64> handles_b;
+  ReplayFleet(first_half, trace, 0, 6, handles_b);
   const FleetCheckpoint cp = first_half.Checkpoint();
 
   // ...and resume it in a fresh fleet built with the identical options
   // (the checkpoint carries no partition seeds; the spec must match).
+  // Its routing table holds exactly the client's live ids, and the
+  // client's handles carry on across the restart.
   ShardedEngine resumed(g, options);
   resumed.Restore(cp);
-  std::vector<FlowId64> active_c;
-  active_c.reserve(cp.flows.size());
+  std::vector<FlowId64> restored_ids;
+  restored_ids.reserve(cp.flows.size());
   for (const FleetCheckpoint::FlowEntry& entry : cp.flows) {
-    active_c.push_back(entry.id);
+    restored_ids.push_back(entry.id);
   }
-  ASSERT_EQ(active_c, active_b);
-  ReplayFleet(resumed, trace, 6, trace.epochs.size(), active_c);
-  ASSERT_EQ(active_c, active_a);
+  ASSERT_EQ(restored_ids,
+            test::LiveHandles(handles_b, std::span(trace.epochs).first(6)));
+  ReplayFleet(resumed, trace, 6, trace.epochs.size(), handles_b);
+  ASSERT_EQ(handles_b, handles_a);
 
   // Same published placements and accounting as the uninterrupted run.
   FleetSnapshot snap_a = uninterrupted.Snapshot();
@@ -168,8 +169,8 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
 
   const ShardedEngineOptions options = FleetOptions(1, 5);
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> fleet_active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_active);
+  std::vector<FlowId64> fleet_handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_handles);
   const FleetCheckpoint cp = fleet.Checkpoint();
   ASSERT_EQ(cp.engines.size(), 1u);
 
@@ -177,21 +178,16 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
   engine::EngineOptions plain = options.engine;
   plain.k = options.total_budget;
   engine::Engine eng(g, plain);
-  std::vector<engine::FlowTicket> engine_active;
+  std::vector<engine::FlowTicket> engine_handles;
   for (const engine::ChurnEpoch& epoch : trace.epochs) {
     std::vector<engine::FlowTicket> departures;
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(engine_active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      engine_active.erase(engine_active.begin() +
-                          static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(engine_handles[sequence]);
     }
     const engine::Engine::BatchResult result =
         eng.SubmitBatch(epoch.arrivals, departures);
-    engine_active.insert(engine_active.end(), result.tickets.begin(),
-                         result.tickets.end());
+    engine_handles.insert(engine_handles.end(), result.tickets.begin(),
+                          result.tickets.end());
   }
 
   // The embedded block degenerates to the plain `engine-checkpoint v1`
@@ -209,8 +205,8 @@ TEST(ShardCheckpointTest, FileRoundTripMatchesStreamForm) {
   const graph::Digraph g = TestNetwork(83, 20);
   const engine::ChurnTrace trace = MakeTrace(g, 4, 9);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
   const FleetCheckpoint cp = fleet.Checkpoint();
 
   const std::string path =
@@ -225,8 +221,8 @@ TEST(ShardCheckpointTest, RejectsCorruptInput) {
   const graph::Digraph g = TestNetwork(89, 20);
   const engine::ChurnTrace trace = MakeTrace(g, 3, 11);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
   const std::string good = Serialize(fleet.Checkpoint());
 
   {

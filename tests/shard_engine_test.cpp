@@ -21,6 +21,7 @@
 #include "graph/shortest_path.hpp"
 #include "obs/metrics.hpp"
 #include "shard/partition.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -33,55 +34,48 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 40) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
 }
 
-/// Replays trace epochs [from, to) into the fleet, maintaining the
-/// positional active-id list the trace's departure indices refer to.
+/// Replays trace epochs [from, to) into the fleet, appending each batch's
+/// flow ids to `handles` (indexed by arrival sequence, the trace's
+/// departure numbering).
 void ReplayFleet(ShardedEngine& fleet, const engine::ChurnTrace& trace,
                  std::size_t from, std::size_t to,
-                 std::vector<FlowId64>& active) {
+                 std::vector<FlowId64>& handles) {
   for (std::size_t e = from; e < to; ++e) {
     const engine::ChurnEpoch& epoch = trace.epochs[e];
     std::vector<FlowId64> departures;
     departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(handles[sequence]);
     }
     const ShardedEngine::BatchResult result =
         fleet.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.flow_ids.begin(),
-                  result.flow_ids.end());
+    handles.insert(handles.end(), result.flow_ids.begin(),
+                   result.flow_ids.end());
   }
   fleet.Drain();
 }
 
-/// Same replay against a plain engine (positional tickets).
+/// Same replay against a plain engine (tickets by arrival sequence).
 void ReplayEngine(engine::Engine& eng, const engine::ChurnTrace& trace,
                   std::size_t from, std::size_t to,
-                  std::vector<engine::FlowTicket>& active) {
+                  std::vector<engine::FlowTicket>& handles) {
   for (std::size_t e = from; e < to; ++e) {
     const engine::ChurnEpoch& epoch = trace.epochs[e];
     std::vector<engine::FlowTicket> departures;
     departures.reserve(epoch.departures.size());
-    for (const std::size_t index : epoch.departures) {
-      departures.push_back(active[index]);
-    }
-    for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-         ++it) {
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+    for (std::size_t sequence : epoch.departures) {
+      departures.push_back(handles[sequence]);
     }
     const engine::Engine::BatchResult result =
         eng.SubmitBatch(epoch.arrivals, departures);
-    active.insert(active.end(), result.tickets.begin(),
-                  result.tickets.end());
+    handles.insert(handles.end(), result.tickets.begin(),
+                   result.tickets.end());
   }
 }
 
@@ -101,9 +95,10 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
   const engine::ChurnTrace trace = MakeTrace(g, 10, 7);
   ShardedEngine fleet(g, FleetOptions(3, 9));
 
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
-  ASSERT_FALSE(active.empty());
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
+  const std::vector<FlowId64> live = test::LiveHandles(handles, trace.epochs);
+  ASSERT_FALSE(live.empty());
   // The workload must actually exercise cross-shard paths, or the
   // exactly-once property is vacuous.
   EXPECT_GT(fleet.stats().cross_shard_flows, 0u);
@@ -113,10 +108,10 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
   for (const ShardStatus& shard : snapshot.shards) {
     snapshot_flows += shard.active_flows;
   }
-  EXPECT_EQ(snapshot_flows, active.size());
+  EXPECT_EQ(snapshot_flows, live.size());
 
   const FleetCheckpoint cp = fleet.Checkpoint();
-  ASSERT_EQ(cp.flows.size(), active.size());
+  ASSERT_EQ(cp.flows.size(), live.size());
 
   // Every live flow appears in the routing table exactly once (ids
   // strictly ascending) and in exactly one shard's engine.
@@ -161,18 +156,18 @@ TEST(ShardEngineTest, SingleShardMatchesPlainEngine) {
 
   ShardedEngineOptions options = FleetOptions(1, 5);
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> fleet_active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_active);
+  std::vector<FlowId64> fleet_handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_handles);
 
   // The plain engine with the fleet's effective per-shard options: the
   // whole budget, synchronous, single-threaded.
   engine::EngineOptions plain = options.engine;
   plain.k = options.total_budget;
   engine::Engine eng(g, plain);
-  std::vector<engine::FlowTicket> engine_active;
-  ReplayEngine(eng, trace, 0, trace.epochs.size(), engine_active);
+  std::vector<engine::FlowTicket> engine_handles;
+  ReplayEngine(eng, trace, 0, trace.epochs.size(), engine_handles);
 
-  ASSERT_EQ(fleet_active.size(), engine_active.size());
+  ASSERT_EQ(fleet_handles.size(), engine_handles.size());
   const FleetSnapshot fleet_snap = fleet.Snapshot();
   const auto engine_snap = eng.CurrentSnapshot();
   EXPECT_EQ(fleet_snap.epoch, engine_snap->epoch);
@@ -182,7 +177,8 @@ TEST(ShardEngineTest, SingleShardMatchesPlainEngine) {
             engine_snap->deployment.ToString());
   ASSERT_EQ(fleet_snap.shards.size(), 1u);
   EXPECT_EQ(fleet_snap.shards[0].budget, options.total_budget);
-  EXPECT_EQ(fleet_snap.shards[0].active_flows, engine_active.size());
+  EXPECT_EQ(fleet_snap.shards[0].active_flows,
+            test::LiveHandles(engine_handles, trace.epochs).size());
 }
 
 TEST(ShardEngineTest, SkipsShardsWithoutEvents) {
@@ -298,8 +294,8 @@ TEST(ShardEngineTest, FleetModeIsWorstShardMode) {
   options.engine.probe_interval_epochs = 64;
   ShardedEngine fleet(g, options);
 
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
 
   const FleetSnapshot snapshot = fleet.Snapshot();
   engine::EngineMode worst = engine::EngineMode::kNormal;
@@ -319,8 +315,8 @@ TEST(ShardEngineTest, MetricsExposeFleetAndPerShardSeries) {
   const graph::Digraph g = TestNetwork(61);
   const engine::ChurnTrace trace = MakeTrace(g, 5, 17);
   ShardedEngine fleet(g, FleetOptions(2, 6));
-  std::vector<FlowId64> active;
-  ReplayFleet(fleet, trace, 0, trace.epochs.size(), active);
+  std::vector<FlowId64> handles;
+  ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
 
   std::ostringstream prom;
   fleet.DumpMetrics(prom, obs::MetricsFormat::kPrometheus);

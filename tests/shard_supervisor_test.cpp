@@ -25,6 +25,7 @@
 #include "faults/faults.hpp"
 #include "io/text_format.hpp"
 #include "shard/fleet_io.hpp"
+#include "test_util.hpp"
 #include "topology/generators.hpp"
 
 namespace tdmd::shard {
@@ -37,7 +38,7 @@ graph::Digraph TestNetwork(std::uint64_t seed, VertexId n = 30) {
 
 engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
                              std::uint64_t seed) {
-  core::ChurnModel churn;
+  engine::ChurnModel churn;
   churn.arrival_count = 6;
   churn.departure_probability = 0.3;
   return engine::BuildChurnTrace(g, churn, epochs, 0, seed);
@@ -46,21 +47,17 @@ engine::ChurnTrace MakeTrace(const graph::Digraph& g, std::size_t epochs,
 /// One epoch of trace churn; does NOT drain (callers pick their own
 /// quiesce points — that is what these tests are about).
 void SubmitEpoch(ShardedEngine& fleet, const engine::ChurnTrace& trace,
-                 std::size_t e, std::vector<FlowId64>& active) {
+                 std::size_t e, std::vector<FlowId64>& handles) {
   const engine::ChurnEpoch& epoch = trace.epochs[e];
   std::vector<FlowId64> departures;
   departures.reserve(epoch.departures.size());
-  for (const std::size_t index : epoch.departures) {
-    departures.push_back(active[index]);
-  }
-  for (auto it = epoch.departures.rbegin(); it != epoch.departures.rend();
-       ++it) {
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(*it));
+  for (std::size_t sequence : epoch.departures) {
+    departures.push_back(handles[sequence]);
   }
   const ShardedEngine::BatchResult result =
       fleet.SubmitBatch(epoch.arrivals, departures);
-  active.insert(active.end(), result.flow_ids.begin(),
-                result.flow_ids.end());
+  handles.insert(handles.end(), result.flow_ids.begin(),
+                 result.flow_ids.end());
 }
 
 ShardedEngineOptions SupervisedOptions(std::size_t shards,
@@ -90,16 +87,17 @@ std::string RunWithCrash(const graph::Digraph& g,
                          std::size_t crash_epoch, std::size_t crash_shard,
                          FleetStats* stats_out = nullptr) {
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
     if (crash_epoch != 0 && e + 1 == crash_epoch) {
       fleet.CrashShard(crash_shard);
     }
-    SubmitEpoch(fleet, trace, e, active);
+    SubmitEpoch(fleet, trace, e, handles);
   }
   const FleetCheckpoint cp = fleet.Checkpoint();  // drains + supervises
   EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
-  EXPECT_EQ(cp.flows.size(), active.size());
+  EXPECT_EQ(cp.flows.size(),
+            test::LiveHandles(handles, trace.epochs).size());
   if (stats_out != nullptr) *stats_out = fleet.stats();
   return SerializeDeterministic(cp);
 }
@@ -149,10 +147,10 @@ TEST(ShardSupervisorTest, RepeatedCrashesOfTheSameShardRecover) {
       RunWithCrash(g, trace, options, 0, 0);
 
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
     if (e == 2 || e == 6) fleet.CrashShard(1);
-    SubmitEpoch(fleet, trace, e, active);
+    SubmitEpoch(fleet, trace, e, handles);
     // Quiesce between the crashes so they are two distinct episodes
     // rather than one doubled poison command.  (Not Snapshot(): its
     // certificate-refresh round would advance quality trackers the
@@ -184,9 +182,9 @@ TEST(ShardSupervisorTest, InjectedWorkerFaultRecoversLikeCrashShard) {
   faulty.fault_spec.at(faults::FaultSite::kShardWorker).throw_probability =
       0.1;
   ShardedEngine fleet(g, faulty);
-  std::vector<FlowId64> active;
+  std::vector<FlowId64> handles;
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
-    SubmitEpoch(fleet, trace, e, active);
+    SubmitEpoch(fleet, trace, e, handles);
   }
   // The redo replay itself visits the worker fault site, so a recovery
   // attempt can re-crash (each attempt counts in crashes_detected and
@@ -222,8 +220,8 @@ TEST(ShardSupervisorTest, StallSurfacesAsDegradedThenClears) {
   drain.delay = std::chrono::milliseconds(300);
 
   ShardedEngine fleet(g, options);
-  std::vector<FlowId64> active;
-  SubmitEpoch(fleet, trace, 0, active);
+  std::vector<FlowId64> handles;
+  SubmitEpoch(fleet, trace, 0, handles);
 
   // Poll the supervisor while the workers sit in their injected delays.
   // Generous deadline: scheduling on a loaded single-core host can hold
@@ -246,8 +244,9 @@ TEST(ShardSupervisorTest, StallSurfacesAsDegradedThenClears) {
   EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
   EXPECT_EQ(fleet.stats().crashes_detected, 0u);  // waited out, not killed
   const FleetSnapshot snapshot = fleet.Snapshot();
+  // Epoch 0 of a trace drawn from no live flows departs nothing.
   EXPECT_EQ(snapshot.shards[0].active_flows + snapshot.shards[1].active_flows,
-            active.size());
+            handles.size());
 }
 
 TEST(ShardSupervisorTest, CheckpointCadenceBoundsReplay) {

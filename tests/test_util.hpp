@@ -2,10 +2,12 @@
 // instance builders used by property tests.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/instance.hpp"
+#include "engine/churn_trace.hpp"
 #include "graph/tree.hpp"
 #include "topology/generators.hpp"
 #include "traffic/flow.hpp"
@@ -96,6 +98,23 @@ inline core::Instance MakeRandomGeneralCase(VertexId size, double lambda,
     flows.push_back(std::move(f));
   }
   return core::Instance(std::move(g), std::move(flows), lambda);
+}
+
+/// The handles still live after `epochs` were served, in arrival order.
+/// `handles` holds every flow's handle (engine ticket or fleet flow id) by
+/// arrival sequence, the numbering ChurnEpoch::departures uses.
+template <typename Handle>
+std::vector<Handle> LiveHandles(const std::vector<Handle>& handles,
+                                std::span<const engine::ChurnEpoch> epochs) {
+  std::vector<bool> live(handles.size(), true);
+  for (const engine::ChurnEpoch& epoch : epochs) {
+    for (std::size_t sequence : epoch.departures) live[sequence] = false;
+  }
+  std::vector<Handle> result;
+  for (std::size_t sequence = 0; sequence < handles.size(); ++sequence) {
+    if (live[sequence]) result.push_back(handles[sequence]);
+  }
+  return result;
 }
 
 }  // namespace tdmd::test
