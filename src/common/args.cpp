@@ -109,6 +109,7 @@ void ArgParser::Parse(int argc, const char* const* argv) {
       Fail("unknown flag --" + name);
     }
     Flag& flag = it->second;
+    flag.given = true;
     if (!has_value) {
       if (flag.kind == Kind::kBool) {
         flag.bool_value = true;  // bare --flag
@@ -121,6 +122,11 @@ void ArgParser::Parse(int argc, const char* const* argv) {
     }
     SetFromString(name, flag, value);
   }
+}
+
+bool ArgParser::Given(const std::string& name) const {
+  const auto it = flags_.find(name);
+  return it != flags_.end() && it->second.given;
 }
 
 std::string ArgParser::Usage() const {

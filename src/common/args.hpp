@@ -35,6 +35,9 @@ class ArgParser {
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// True when argv named the registered flag `name`.
+  bool Given(const std::string& name) const;
+
   std::string Usage() const;
 
  private:
@@ -47,6 +50,7 @@ class ArgParser {
     double double_value = 0.0;
     bool bool_value = false;
     std::string string_value;
+    bool given = false;
   };
 
   Flag& Register(const std::string& name, Kind kind, const std::string& help);

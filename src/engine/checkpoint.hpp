@@ -10,6 +10,11 @@
 //     free-slot stack rides along, so client-held tickets survive a
 //     restore and post-restore arrivals draw the very tickets the
 //     uninterrupted run would have drawn.
+//   * In memory the flows are keyed by path class (ClassKeyedFlows): each
+//     live path once, plus one {ticket, class, rate} record per flow, so
+//     a capture allocates per class, not per flow, and a restore
+//     validates each distinct path once.  The v1 text record still spells
+//     each flow's path out on its own line; the reader regroups them.
 //   * The maintained bandwidth is serialized as a hexfloat, so the
 //     incrementally-maintained double round-trips bit-exactly instead of
 //     being recomputed (which could differ in the last ulp and break the
@@ -23,9 +28,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "engine/coverage_index.hpp"
 #include "engine/engine.hpp"
 #include "obs/histogram.hpp"
-#include "traffic/flow.hpp"
 
 namespace tdmd::engine {
 
@@ -55,12 +60,10 @@ struct EngineCheckpoint {
   std::vector<VertexId> deployment;
   /// Uncovered-flow tickets in maintenance order.
   std::vector<FlowTicket> uncovered;
-  struct ActiveFlow {
-    FlowTicket ticket = kInvalidTicket;
-    traffic::Flow flow;
-  };
-  /// Active flows ascending by slot.
-  std::vector<ActiveFlow> active_flows;
+  /// Active flows ascending by slot, keyed by path class
+  /// (FlowCoverageIndex::LiveFlows): each live class's path once and one
+  /// {ticket, class, rate} record per flow.
+  ClassKeyedFlows flows;
   /// Free-slot stack bottom-to-top, as tickets carrying each free slot's
   /// current (post-bump) generation.
   std::vector<FlowTicket> free_slots;

@@ -24,6 +24,18 @@ std::uint64_t HashPath(std::span<const VertexId> path) {
 
 }  // namespace
 
+std::span<const VertexId> ClassKeyedFlows::ClassPath(std::size_t c) const {
+  TDMD_DCHECK(c < class_ends.size());
+  const std::uint32_t begin = c == 0 ? 0 : class_ends[c - 1];
+  return {vertices.data() + begin, class_ends[c] - begin};
+}
+
+std::uint32_t ClassKeyedFlows::AddClass(std::span<const VertexId> path) {
+  vertices.insert(vertices.end(), path.begin(), path.end());
+  class_ends.push_back(static_cast<std::uint32_t>(vertices.size()));
+  return static_cast<std::uint32_t>(class_ends.size() - 1);
+}
+
 FlowTicket FlowCoverageIndex::ComposeTicket(std::uint32_t slot,
                                             std::uint32_t generation) {
   return static_cast<FlowTicket>(
@@ -50,7 +62,7 @@ FlowCoverageIndex::FlowCoverageIndex(graph::Digraph network, double lambda)
 }
 
 std::uint32_t FlowCoverageIndex::FindClass(
-    const std::vector<VertexId>& path) const {
+    std::span<const VertexId> path) const {
   if (class_table_.empty()) return kNoClass;
   const std::size_t mask = class_table_.size() - 1;
   for (std::size_t i = HashPath(path) & mask;; i = (i + 1) & mask) {
@@ -64,7 +76,7 @@ std::uint32_t FlowCoverageIndex::FindClass(
   }
 }
 
-std::uint32_t FlowCoverageIndex::NewClass(const std::vector<VertexId>& path) {
+std::uint32_t FlowCoverageIndex::NewClass(std::span<const VertexId> path) {
   const auto id = static_cast<std::uint32_t>(classes_.size());
   PathClass cls;
   cls.offset = static_cast<std::uint32_t>(path_arena_.size());
@@ -139,30 +151,24 @@ void FlowCoverageIndex::IndexFlowIntoSlot(std::uint32_t slot,
   ++stats_.delta_ops;
 }
 
-std::uint32_t FlowCoverageIndex::CheckedClass(const traffic::Flow& flow,
-                                              const char* what) const {
-  TDMD_CHECK_MSG(flow.rate > 0, what << " rate must be positive");
+FlowTicket FlowCoverageIndex::AddFlow(const traffic::Flow& flow) {
+  TDMD_CHECK_MSG(flow.rate > 0, "flow rate must be positive");
   const std::vector<VertexId>& path = flow.path.vertices;
   // A known path already passed the simple-path check when its class was
   // created, so only a new path pays for it.
-  const std::uint32_t path_class = FindClass(path);
+  std::uint32_t path_class = FindClass(path);
   TDMD_CHECK_MSG(path_class != kNoClass ||
                      graph::IsSimplePath(network_, flow.path),
-                 what << " path is not a simple path in the network");
+                 "flow path is not a simple path in the network");
   TDMD_CHECK_MSG(!path.empty() && path.front() == flow.src &&
                      path.back() == flow.dst,
-                 what << " path endpoints disagree with src/dst");
-  return path_class;
-}
-
-FlowTicket FlowCoverageIndex::AddFlow(const traffic::Flow& flow) {
-  std::uint32_t path_class = CheckedClass(flow, "flow");
+                 "flow path endpoints disagree with src/dst");
   if (fault_injector_ != nullptr) {
     // Before any mutation: an injected throw leaves the index untouched,
     // so the engine's retry loop can simply call AddFlow again.
     fault_injector_->MaybeInject(faults::FaultSite::kIndexDelta);
   }
-  if (path_class == kNoClass) path_class = NewClass(flow.path.vertices);
+  if (path_class == kNoClass) path_class = NewClass(path);
 
   std::uint32_t slot = 0;
   if (!free_slots_.empty()) {
@@ -206,13 +212,29 @@ bool FlowCoverageIndex::RemoveFlow(FlowTicket ticket) {
   return true;
 }
 
+ClassKeyedFlows FlowCoverageIndex::LiveFlows() const {
+  ClassKeyedFlows flows;
+  flows.records.reserve(active_count_);
+  // Index class -> record class, assigned at the class's first slot.
+  std::vector<std::uint32_t> record_class(classes_.size(), kNoClass);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const Slot& entry = slots_[slot];
+    if (entry.path_class == kNoClass) continue;
+    std::uint32_t& c = record_class[entry.path_class];
+    if (c == kNoClass) c = flows.AddClass(ClassPath(entry.path_class));
+    flows.records.push_back(ClassKeyedFlows::Record{
+        ComposeTicket(slot, entry.generation), c, entry.rate});
+  }
+  return flows;
+}
+
 void FlowCoverageIndex::RestoreSlots(
-    const std::vector<SlotRecord>& active,
+    const ClassKeyedFlows& active,
     const std::vector<FlowTicket>& free_slots) {
   TDMD_CHECK_MSG(slots_.empty() && active_count_ == 0,
                  "RestoreSlots requires a freshly constructed index");
 
-  const std::size_t num_slots = active.size() + free_slots.size();
+  const std::size_t num_slots = active.records.size() + free_slots.size();
   slots_.resize(num_slots);
   std::vector<char> seen(num_slots, 0);
   const auto claim = [&](FlowTicket ticket) -> std::uint32_t {
@@ -227,14 +249,30 @@ void FlowCoverageIndex::RestoreSlots(
     return slot;
   };
 
-  for (const SlotRecord& record : active) {
-    std::uint32_t path_class = CheckedClass(record.flow, "checkpoint flow");
+  // Record class -> index class, resolved at the class's first record:
+  // each distinct path is validated and hashed once.
+  std::vector<std::uint32_t> index_class(active.num_classes(), kNoClass);
+  for (const ClassKeyedFlows::Record& record : active.records) {
+    TDMD_CHECK_MSG(record.rate > 0, "checkpoint flow rate must be positive");
+    TDMD_CHECK_MSG(record.path_class < index_class.size(),
+                   "checkpoint flow names unknown path class "
+                       << record.path_class);
+    std::uint32_t& path_class = index_class[record.path_class];
+    if (path_class == kNoClass) {
+      const std::span<const VertexId> path =
+          active.ClassPath(record.path_class);
+      path_class = FindClass(path);
+      if (path_class == kNoClass) {
+        TDMD_CHECK_MSG(
+            graph::IsSimplePath(network_,
+                                graph::Path{{path.begin(), path.end()}}),
+            "checkpoint flow path is not a simple path in the network");
+        path_class = NewClass(path);
+      }
+    }
     const std::uint32_t slot = claim(record.ticket);
     slots_[slot].generation = TicketGeneration(record.ticket);
-    if (path_class == kNoClass) {
-      path_class = NewClass(record.flow.path.vertices);
-    }
-    IndexFlowIntoSlot(slot, path_class, record.flow.rate);
+    IndexFlowIntoSlot(slot, path_class, record.rate);
   }
   // stats_ counted the restored flows as fresh arrivals; the caller
   // re-seats the counters via RestoreStats afterwards.

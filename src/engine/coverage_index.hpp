@@ -51,6 +51,28 @@ namespace tdmd::engine {
 using FlowTicket = std::int64_t;
 inline constexpr FlowTicket kInvalidTicket = -1;
 
+/// A flow set keyed by path class — the in-memory form of a checkpoint's
+/// flows: each distinct path once (CSR, classes in first-seen order) and
+/// one {ticket, class, rate} record per flow.  Capturing it allocates per
+/// class, not per flow.
+struct ClassKeyedFlows {
+  struct Record {
+    FlowTicket ticket = kInvalidTicket;
+    std::uint32_t path_class = 0;
+    Rate rate = 0;
+  };
+  /// Class c's path is vertices[c == 0 ? 0 : class_ends[c - 1],
+  /// class_ends[c]).
+  std::vector<std::uint32_t> class_ends;
+  std::vector<VertexId> vertices;
+  std::vector<Record> records;
+
+  std::size_t num_classes() const { return class_ends.size(); }
+  std::span<const VertexId> ClassPath(std::size_t c) const;
+  /// Appends a class holding `path`; returns its id.
+  std::uint32_t AddClass(std::span<const VertexId> path);
+};
+
 struct IndexStats {
   /// Index entries written or erased — the size of the maintained delta,
   /// the engine's substitute for the O(|F| * |V|) rebuild: one slot entry
@@ -176,23 +198,23 @@ class FlowCoverageIndex {
 
   // --- checkpoint/restore -------------------------------------------------
 
-  /// One active flow pinned to its exact (slot, generation) pair.
-  struct SlotRecord {
-    FlowTicket ticket = kInvalidTicket;
-    traffic::Flow flow;
-  };
+  /// The active flows ascending by slot, keyed by live class; classes are
+  /// numbered in first-seen slot order.  O(slots + live class paths), and
+  /// its allocation count does not depend on the number of flows.
+  ClassKeyedFlows LiveFlows() const;
 
-  /// Rebuilds the slot table of a checkpointed index: `active` re-occupies
-  /// the recorded slots (same tickets, so client-held handles survive a
-  /// restore) and `free_slots` (bottom-to-top of the recorded free stack,
-  /// encoded as tickets carrying each free slot's current generation)
-  /// restores the recycling order so post-restore arrivals draw the same
-  /// tickets the uninterrupted run would have drawn.  Requires an empty
-  /// index; every slot below the implied table size must appear exactly
-  /// once across the two lists.  Flows are validated exactly as in
-  /// AddFlow.  Class ids are re-assigned in slot order; no decision
-  /// depends on them, since every sum over classes is an integer sum.
-  void RestoreSlots(const std::vector<SlotRecord>& active,
+  /// Rebuilds the slot table of a checkpointed index: `active`'s records
+  /// re-occupy their recorded slots (same tickets, so client-held handles
+  /// survive a restore) and `free_slots` (bottom-to-top of the recorded
+  /// free stack, encoded as tickets carrying each free slot's current
+  /// generation) restores the recycling order so post-restore arrivals
+  /// draw the same tickets the uninterrupted run would have drawn.
+  /// Requires an empty index; every slot below the implied table size
+  /// must appear exactly once across the two lists.  Rates are checked per
+  /// record and each distinct path once, as in AddFlow.  Class ids are
+  /// assigned in record order of first use; no decision depends on them,
+  /// since every sum over classes is an integer sum.
+  void RestoreSlots(const ClassKeyedFlows& active,
                     const std::vector<FlowTicket>& free_slots);
 
   /// The free-slot stack bottom-to-top, as tickets carrying each free
@@ -231,13 +253,9 @@ class FlowCoverageIndex {
   /// The live slot behind a ticket, or nullptr if stale or unknown.
   const Slot* LiveSlot(FlowTicket ticket) const;
   /// The class holding exactly `path`, or kNoClass.
-  std::uint32_t FindClass(const std::vector<VertexId>& path) const;
-  /// Checks `flow` as AddFlow documents (diagnostics name it `what`) and
-  /// returns FindClass of its path.
-  std::uint32_t CheckedClass(const traffic::Flow& flow,
-                             const char* what) const;
+  std::uint32_t FindClass(std::span<const VertexId> path) const;
   /// Appends a class for a validated path not held yet; returns its id.
-  std::uint32_t NewClass(const std::vector<VertexId>& path);
+  std::uint32_t NewClass(std::span<const VertexId> path);
   /// Appends / swap-erases a class's |p| visit entries.
   void LinkClass(std::uint32_t c);
   void UnlinkClass(std::uint32_t c);

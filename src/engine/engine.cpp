@@ -740,12 +740,7 @@ EngineCheckpoint Engine::Checkpoint() const {
   checkpoint.stats.consecutive_failures = consecutive_failures_;
   checkpoint.deployment = deployment_.vertices();  // insertion order
   checkpoint.uncovered = uncovered_;
-  const std::vector<FlowTicket> tickets = index_.ActiveTickets();
-  checkpoint.active_flows.reserve(tickets.size());
-  for (FlowTicket ticket : tickets) {
-    checkpoint.active_flows.push_back(
-        EngineCheckpoint::ActiveFlow{ticket, index_.FlowAt(ticket)});
-  }
+  checkpoint.flows = index_.LiveFlows();
   checkpoint.free_slots = index_.FreeSlotTickets();
   checkpoint.patch_histogram = histograms_.patch_ns.Snapshot();
   checkpoint.resolve_histogram = histograms_.resolve_ns.Snapshot();
@@ -778,14 +773,7 @@ void Engine::Restore(const EngineCheckpoint& checkpoint) {
                                            << " vertices, engine has "
                                            << index_.num_vertices());
 
-  std::vector<FlowCoverageIndex::SlotRecord> active;
-  active.reserve(checkpoint.active_flows.size());
-  for (const EngineCheckpoint::ActiveFlow& record :
-       checkpoint.active_flows) {
-    active.push_back(
-        FlowCoverageIndex::SlotRecord{record.ticket, record.flow});
-  }
-  index_.RestoreSlots(active, checkpoint.free_slots);
+  index_.RestoreSlots(checkpoint.flows, checkpoint.free_slots);
   IndexStats index_stats;
   index_stats.delta_ops = checkpoint.stats.index_delta_ops;
   index_stats.arrivals = checkpoint.stats.arrivals;

@@ -106,6 +106,13 @@ class ClassServedState {
 ///     candidate probed that round; covered marks are invalidated by a
 ///     probe counter instead of clearing.  A probe also rejects as soon
 ///     as its cover provably exceeds the remaining budget.
+///   * Most candidates are settled without a greedy run, by three exact
+///     verdict rules (DESIGN.md Section 8): an empty residual is coverable;
+///     a residual larger than remaining * M, M the round's largest
+///     per-vertex residual count, is not (no greedy pick covers more than
+///     M flows); and every candidate that touches no unserved class shares
+///     one greedy run per round (greedy never picks a zero-count vertex,
+///     so the run does not depend on which such candidate is probed).
 class FeasibilityProbe {
  public:
   explicit FeasibilityProbe(const FlowCoverageIndex& index)
@@ -115,8 +122,12 @@ class FeasibilityProbe {
         count_(static_cast<std::size_t>(index.num_vertices()), 0) {}
 
   /// Snapshots the round's unserved path classes and the per-vertex
-  /// residual flow counts.  O(sum of unserved-class path lengths).
-  void BeginRound(const core::Deployment& deployment) {
+  /// residual flow counts; `remaining_budget` is the number of boxes left
+  /// after the round's pick.  O(sum of unserved-class path lengths).
+  void BeginRound(const core::Deployment& deployment,
+                  std::size_t remaining_budget) {
+    remaining_budget_ = remaining_budget;
+    untouched_known_ = false;
     const std::size_t num_classes = index_->num_path_classes();
     if (covered_stamp_.size() < num_classes) {
       covered_stamp_.resize(num_classes, 0);
@@ -136,17 +147,37 @@ class FeasibilityProbe {
         classes_through_[static_cast<std::size_t>(v)].push_back(c);
       }
     }
+    max_count_ = 0;
+    for (std::size_t count : base_count_) {
+      max_count_ = std::max(max_count_, count);
+    }
   }
 
   /// The coverability verdict for one candidate.  Requires BeginRound for
   /// the round's deployment.
-  bool Coverable(VertexId candidate, std::size_t remaining_budget) {
+  bool Coverable(VertexId candidate) {
+    // Paths are simple, so the candidate's count is exactly the unserved
+    // flows it would serve.
+    const std::size_t touched =
+        base_count_[static_cast<std::size_t>(candidate)];
+    const std::size_t residual = base_residual_ - touched;
+    if (residual == 0) return true;
+    if (residual > remaining_budget_ * max_count_) return false;
+    if (touched > 0) return GreedyCovers(candidate);
+    if (!untouched_known_) {
+      untouched_coverable_ = GreedyCovers(candidate);
+      untouched_known_ = true;
+    }
+    return untouched_coverable_;
+  }
+
+ private:
+  /// setcover::GreedyCover's run over the residual left by `candidate`.
+  bool GreedyCovers(VertexId candidate) {
     ++probe_;  // invalidates all covered marks from earlier probes
     count_ = base_count_;
     std::size_t residual = base_residual_;
     CoverClassesThrough(candidate, &residual);
-    if (residual == 0) return true;
-    if (remaining_budget == 0) return false;
 
     std::size_t chosen_sets = 0;
     while (residual > 0) {
@@ -161,13 +192,12 @@ class FeasibilityProbe {
         }
       }
       if (best_gain == 0) return false;  // uncoverable residue
-      if (++chosen_sets > remaining_budget) return false;
+      if (++chosen_sets > remaining_budget_) return false;
       CoverClassesThrough(best, &residual);
     }
     return true;
   }
 
- private:
   /// Marks every not-yet-covered unserved class through `v` covered for
   /// this probe and retires its flows from the per-vertex counts.
   void CoverClassesThrough(VertexId v, std::size_t* residual) {
@@ -193,6 +223,13 @@ class FeasibilityProbe {
   std::vector<std::size_t> base_count_;
   std::vector<std::size_t> count_;
   std::size_t base_residual_ = 0;
+  /// M: the largest base_count_ entry, the most any greedy pick covers.
+  std::size_t max_count_ = 0;
+  std::size_t remaining_budget_ = 0;
+  /// The shared verdict of this round's candidates that touch no unserved
+  /// class, valid once one was probed.
+  bool untouched_known_ = false;
+  bool untouched_coverable_ = false;
 };
 
 }  // namespace
@@ -248,14 +285,14 @@ IncrementalGtpResult SolveIncrementalGtp(
       // scan.  Rejected fresh gains go back on the heap afterwards; they
       // remain upper bounds for later rounds by submodularity.
       const std::size_t remaining = budget - result.deployment.size() - 1;
-      probe.BeginRound(result.deployment);
+      probe.BeginRound(result.deployment, remaining);
       std::vector<core::CelfCandidate> rejected;
       while (true) {
         const core::CelfCandidate candidate =
             celf.PopBest(round, result.deployment, gain_oracle,
                          &result.oracle_calls, &result.reevals_saved);
         if (candidate.vertex == kInvalidVertex) break;  // queue ran dry
-        if (probe.Coverable(candidate.vertex, remaining)) {
+        if (probe.Coverable(candidate.vertex)) {
           chosen = candidate;
           break;
         }

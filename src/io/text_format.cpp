@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -168,11 +169,13 @@ void WriteEngineCheckpoint(std::ostream& os,
   for (engine::FlowTicket t : checkpoint.uncovered) {
     os << "ticket " << t << '\n';
   }
-  os << "flows " << checkpoint.active_flows.size() << '\n';
-  for (const engine::EngineCheckpoint::ActiveFlow& af :
-       checkpoint.active_flows) {
-    os << "flow " << af.ticket << ' ' << af.flow.rate;
-    for (VertexId v : af.flow.path.vertices) os << ' ' << v;
+  // One line per flow with its class's path spelled out: the v1 record
+  // predates class keying, and readers regroup the lines into classes.
+  const engine::ClassKeyedFlows& flows = checkpoint.flows;
+  os << "flows " << flows.records.size() << '\n';
+  for (const engine::ClassKeyedFlows::Record& record : flows.records) {
+    os << "flow " << record.ticket << ' ' << record.rate;
+    for (VertexId v : flows.ClassPath(record.path_class)) os << ' ' << v;
     os << '\n';
   }
   os << "free-slots " << checkpoint.free_slots.size() << '\n';
@@ -750,7 +753,10 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
   if (!ReadKeyedU64(reader, tokens, "flows", count, result.error)) {
     return result;
   }
-  cp.active_flows.reserve(CappedCount(count));
+  cp.flows.records.reserve(CappedCount(count));
+  // Lines with identical paths share one class, numbered in line order.
+  std::map<std::vector<VertexId>, std::uint32_t> class_of_path;
+  std::vector<VertexId> path;
   for (std::uint64_t i = 0; i < count; ++i) {
     if (!reader.Next(tokens) || tokens.size() < 4 || tokens[0] != "flow") {
       result.error = AtLine(
@@ -758,16 +764,15 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
           "expected 'flow <ticket> <rate> <v0> ... <vk>'");
       return result;
     }
-    engine::EngineCheckpoint::ActiveFlow af;
-    std::int64_t rate = 0;
-    if (!ParseTicket(tokens[1], af.ticket) || !ParseInt(tokens[2], rate) ||
-        rate <= 0) {
+    engine::ClassKeyedFlows::Record record;
+    if (!ParseTicket(tokens[1], record.ticket) ||
+        !ParseInt(tokens[2], record.rate) || record.rate <= 0) {
       result.error = AtLine(reader.line_number(),
                             "flow ticket must be non-negative and rate a "
                             "positive integer");
       return result;
     }
-    af.flow.rate = rate;
+    path.clear();
     for (std::size_t t = 3; t < tokens.size(); ++t) {
       std::int64_t v = 0;
       if (!ParseInt(tokens[t], v) || !FitsVertexId(v) ||
@@ -776,11 +781,12 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
             AtLine(reader.line_number(), "malformed path vertex");
         return result;
       }
-      af.flow.path.vertices.push_back(static_cast<VertexId>(v));
+      path.push_back(static_cast<VertexId>(v));
     }
-    af.flow.src = af.flow.path.vertices.front();
-    af.flow.dst = af.flow.path.vertices.back();
-    cp.active_flows.push_back(std::move(af));
+    const auto [it, inserted] = class_of_path.try_emplace(path, 0);
+    if (inserted) it->second = cp.flows.AddClass(path);
+    record.path_class = it->second;
+    cp.flows.records.push_back(record);
   }
 
   if (!ReadKeyedU64(reader, tokens, "free-slots", count, result.error)) {

@@ -111,6 +111,10 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
   snapshot.sum = sum_;
   snapshot.min = min();
   snapshot.max = max_;
+  // Sized up front: one allocation however many buckets are occupied.
+  snapshot.buckets.reserve(static_cast<std::size_t>(std::count_if(
+      counts_.begin(), counts_.end(),
+      [](std::uint64_t c) { return c != 0; })));
   for (std::uint32_t i = 0; i < kNumBuckets; ++i) {
     if (counts_[i] != 0) {
       snapshot.buckets.emplace_back(i, counts_[i]);

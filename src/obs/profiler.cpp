@@ -22,6 +22,10 @@ namespace tdmd::obs {
 
 namespace {
 
+// The handler stores ring slots through atomic_ref, which is
+// async-signal-safe only when lock-free.
+static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free);
+
 std::atomic<Profiler*> g_current_profiler{nullptr};
 
 // Generation of the installed profiler (0 = none).  The per-thread ring
@@ -143,8 +147,8 @@ struct ProfilerAccess {
     }
     auto* ring = static_cast<Profiler::Ring*>(t_prof_cache.ring);
     const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    ring->slots[head % ring->slots.size()].store(packed,
-                                                 std::memory_order_relaxed);
+    std::atomic_ref<std::uint64_t>(ring->slots[head % ring->capacity])
+        .store(packed, std::memory_order_relaxed);
     ring->head.store(head + 1, std::memory_order_relaxed);
   }
 };
@@ -234,7 +238,7 @@ std::uint64_t Profiler::DroppedTotal() {
   std::uint64_t dropped = drained_drops_;
   for (const auto& ring : rings_) {
     const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    const std::uint64_t capacity = ring->slots.size();
+    const std::uint64_t capacity = ring->capacity;
     dropped += head > capacity ? head - capacity : 0;
   }
   return dropped;
@@ -259,12 +263,13 @@ ProfDrainResult Profiler::Drain() {
   result.num_threads = rings_.size();
   for (const auto& ring : rings_) {
     const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    const std::uint64_t capacity = ring->slots.size();
+    const std::uint64_t capacity = ring->capacity;
     const std::uint64_t count = head < capacity ? head : capacity;
     const std::uint64_t begin = head - count;
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t packed =
-          ring->slots[(begin + i) % capacity].load(std::memory_order_relaxed);
+          std::atomic_ref<std::uint64_t>(ring->slots[(begin + i) % capacity])
+              .load(std::memory_order_relaxed);
       ++aggregated[packed];
     }
     result.samples += count;

@@ -102,13 +102,19 @@ class Profiler {
   friend struct ProfilerAccess;  // handler-side access, see profiler.cpp
 
   // One per emitting thread.  `head` counts every sample ever written into
-  // this ring (drained resets fold into drained_samples_/drained_drops_),
-  // and slot words are atomics so a concurrent DroppedTotal/metrics reader
-  // never races the handler.  Slots pack depth in byte 0 and root-first
-  // phase bytes above it.
+  // this ring (drained resets fold into drained_samples_/drained_drops_).
+  // Slots pack depth in byte 0 and root-first phase bytes above it, and
+  // are accessed only through std::atomic_ref, so a concurrent reader
+  // never races the handler.  The slot storage is not written before use
+  // (a fresh ring costs no fill, so a new thread's first span does not
+  // stall on it while samples go orphaned): a slot is read only after the
+  // handler stored it, since Drain reads [head - count, head).
   struct Ring {
-    explicit Ring(std::size_t capacity) : slots(capacity) {}
-    std::vector<std::atomic<std::uint64_t>> slots;
+    explicit Ring(std::size_t size)
+        : slots(std::make_unique_for_overwrite<std::uint64_t[]>(size)),
+          capacity(size) {}
+    std::unique_ptr<std::uint64_t[]> slots;
+    std::size_t capacity;
     std::atomic<std::uint64_t> head{0};
     std::uint32_t tid = 0;  // set once at registration, then read-only
   };

@@ -26,6 +26,9 @@ namespace {
 /// capture cadence is long.
 constexpr std::size_t kRedoRingCapacity = 64;
 
+/// The arrivals of a command that carries none.
+const traffic::FlowSet kNoArrivals;
+
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -151,7 +154,7 @@ void ShardedEngine::WorkerLoop(Worker& worker) {
           // outstanding commands.  The supervisor recovers us from the
           // last good checkpoint + redo ring.
           worker.engine.reset();
-          worker.tickets.clear();
+          worker.tickets.Clear();
           worker.crashed.store(true, std::memory_order_release);
         }
       } else {
@@ -205,22 +208,22 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
       std::vector<engine::FlowTicket> departures;
       departures.reserve(command.departure_ids.size());
       for (FlowId64 id : command.departure_ids) {
-        const auto it = worker.tickets.find(id);
+        engine::FlowTicket ticket = engine::kInvalidTicket;
         // The coordinator routes a departure only to the recorded owner,
         // so a miss means the routing table and worker map diverged.
-        TDMD_CHECK_MSG(it != worker.tickets.end(),
-                       "departure for unknown fleet flow " << id);
-        departures.push_back(it->second);
-        worker.tickets.erase(it);
+        const bool known = worker.tickets.Take(id, &ticket);
+        TDMD_CHECK_MSG(known, "departure for unknown fleet flow " << id);
+        departures.push_back(ticket);
       }
       engine::Engine::SubmitOptions submit;
       submit.defer_resolve = command.shed;
       submit.batch_id = command.batch_id;
-      const engine::Engine::BatchResult result =
-          worker.engine->SubmitBatch(command.arrivals, departures, submit);
+      const engine::Engine::BatchResult result = worker.engine->SubmitBatch(
+          command.arrivals ? *command.arrivals : kNoArrivals, departures,
+          submit);
       TDMD_CHECK(result.tickets.size() == command.arrival_ids.size());
       for (std::size_t i = 0; i < result.tickets.size(); ++i) {
-        worker.tickets.emplace(command.arrival_ids[i], result.tickets[i]);
+        worker.tickets.Insert(command.arrival_ids[i], result.tickets[i]);
       }
       if (command.batch_id != 0 && command.route_ns != 0) {
         // Stage clocks share MonotonicNanos' origin, so the differences
@@ -273,8 +276,7 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
       worker.engine = std::make_unique<engine::Engine>(network_, opts);
       worker.engine->Restore(payload.checkpoint);
       worker.base_options.k = opts.k;
-      worker.tickets.clear();
-      worker.tickets.insert(payload.tickets.begin(), payload.tickets.end());
+      worker.tickets = std::move(payload.tickets);
       // Revival: a restore is exactly how quarantine ends.
       worker.crashed.store(false, std::memory_order_release);
       break;
@@ -366,31 +368,44 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
   fleet_span.set_batch(batch_id);
   const std::size_t n = workers_.size();
   std::vector<Command> commands(n);
+  std::vector<traffic::FlowSet> shard_arrivals(n);
   std::vector<bool> touched(n, false);
 
   // Departures first (matching Engine::SubmitBatch's order within each
   // shard batch).
   for (FlowId64 id : departures) {
-    const auto it = flow_owner_.find(id);
-    TDMD_CHECK_MSG(it != flow_owner_.end(),
+    std::uint32_t s = 0;
+    const bool live = flow_owner_.Take(id, &s);
+    TDMD_CHECK_MSG(live,
                    "departure for unknown or already-departed fleet flow "
                        << id);
-    const std::uint32_t s = it->second;
-    flow_owner_.erase(it);
     commands[s].departure_ids.push_back(id);
     touched[s] = true;
   }
 
+  // Owners first, so each shard's arrival lists are sized once.
+  std::vector<std::uint32_t> owners(arrivals.size());
+  std::vector<std::size_t> owned(n, 0);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    owners[i] = static_cast<std::uint32_t>(
+        OwnerShard(partition_, arrivals[i], next_flow_id_ + i));
+    ++owned[owners[i]];
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    shard_arrivals[s].reserve(owned[s]);
+    commands[s].arrival_ids.reserve(owned[s]);
+  }
   BatchResult result;
   result.epoch = epoch_;
   result.flow_ids.reserve(arrivals.size());
-  for (const traffic::Flow& flow : arrivals) {
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const traffic::Flow& flow = arrivals[i];
     const FlowId64 id = next_flow_id_++;
-    const std::size_t s = OwnerShard(partition_, flow, id);
+    const std::uint32_t s = owners[i];
     if (ShardsTouched(partition_, flow) > 1) ++stats_.cross_shard_flows;
-    commands[s].arrivals.push_back(flow);
+    shard_arrivals[s].push_back(flow);
     commands[s].arrival_ids.push_back(id);
-    flow_owner_.emplace(id, static_cast<std::uint32_t>(s));
+    flow_owner_.Insert(id, s);
     result.flow_ids.push_back(id);
     touched[s] = true;
   }
@@ -410,7 +425,11 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
     commands[s].epoch = epoch_;
     commands[s].batch_id = batch_id;
     const std::size_t events =
-        commands[s].arrivals.size() + commands[s].departure_ids.size();
+        shard_arrivals[s].size() + commands[s].departure_ids.size();
+    if (!shard_arrivals[s].empty()) {
+      commands[s].arrivals = std::make_shared<const traffic::FlowSet>(
+          std::move(shard_arrivals[s]));
+    }
     epoch_events += events;
     if (ApplyBackpressure(s, commands[s])) {
       commands[s].shed = true;
@@ -712,7 +731,7 @@ void ShardedEngine::CaptureCheckpoints() {
     // engines' client thread.
     ShardGuard& guard = guards_[s];
     guard.checkpoint = worker.engine->Checkpoint();
-    guard.tickets.assign(worker.tickets.begin(), worker.tickets.end());
+    guard.tickets = worker.tickets;
     guard.ring.clear();
     ++stats_.supervisor_checkpoints;
   }
@@ -1100,7 +1119,8 @@ FleetMemoryStats ShardedEngine::MemoryUsageQuiesced() {
   for (const ShardGuard& guard : guards_) {
     for (const RedoEntry& entry : guard.ring) {
       memory.redo_ring_bytes += sizeof(RedoEntry);
-      for (const traffic::Flow& flow : entry.arrivals) {
+      for (const traffic::Flow& flow :
+           entry.arrivals ? *entry.arrivals : kNoArrivals) {
         memory.redo_ring_bytes +=
             sizeof(traffic::Flow) +
             flow.path.vertices.capacity() * sizeof(VertexId);
@@ -1127,16 +1147,17 @@ FleetCheckpoint ShardedEngine::Checkpoint() {
   checkpoint.next_flow_id = next_flow_id_;
   checkpoint.budgets = shard_budget_;
   checkpoint.engines.reserve(workers_.size());
+  checkpoint.flows.reserve(flow_owner_.size());
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     const Worker& worker = *workers_[s];
     TDMD_CHECK_MSG(worker.engine != nullptr,
                    "cannot checkpoint: shard "
                        << s << " is quarantined and its recovery keeps "
                        << "re-crashing");
-    for (const auto& [id, ticket] : worker.tickets) {
+    worker.tickets.ForEach([&](FlowId64 id, engine::FlowTicket ticket) {
       checkpoint.flows.push_back(FleetCheckpoint::FlowEntry{
           id, static_cast<std::uint32_t>(s), ticket});
-    }
+    });
     checkpoint.engines.push_back(worker.engine->Checkpoint());
   }
   std::sort(checkpoint.flows.begin(), checkpoint.flows.end(),
@@ -1182,10 +1203,9 @@ void ShardedEngine::Restore(const FleetCheckpoint& checkpoint) {
   }
   for (const FleetCheckpoint::FlowEntry& entry : checkpoint.flows) {
     TDMD_CHECK_MSG(entry.shard < n, "flow entry names an unknown shard");
-    const bool inserted =
-        flow_owner_.emplace(entry.id, entry.shard).second;
+    const bool inserted = flow_owner_.Insert(entry.id, entry.shard);
     TDMD_CHECK_MSG(inserted, "duplicate fleet flow id in checkpoint");
-    payloads[entry.shard]->tickets.emplace_back(entry.id, entry.ticket);
+    payloads[entry.shard]->tickets.Insert(entry.id, entry.ticket);
   }
   for (std::size_t s = 0; s < n; ++s) {
     Command restore;

@@ -14,7 +14,10 @@
 // nothing at all, which — combined with the engines'
 // resolve_churn_fraction deferral — is where the fleet's speedup on
 // regionalized workloads comes from: the per-epoch CELF re-solve runs
-// against one region's flow subset instead of the global flow set.
+// against one region's flow subset instead of the global flow set.  Fleet
+// ids map to owners (coordinator) and tickets (workers) through flat
+// IdTables, so an arrival or departure allocates nothing there, and a
+// command's arrivals are shared with the redo ring rather than copied.
 //
 // Budget.  The global middlebox budget K is split across shards
 // (initially near-evenly) and reallocated every realloc_interval_epochs:
@@ -52,10 +55,13 @@
 // stall_timeout), quarantines it — routed commands are discarded but
 // recorded — and respawns the engine from the last good per-shard
 // checkpoint, replaying everything since from a bounded per-shard redo
-// ring.  Replay correctness rests on engine determinism: an engine
-// restored from a checkpoint and fed the same command sequence issues the
-// same tickets and reaches byte-identical state.  Bounded
-// queues add the overload posture: past queue_depth the coordinator
+// ring.  A capture copies each engine's class-keyed checkpoint (one path
+// per live class, one fixed-size record per flow) and the worker's id
+// table as one vector, so it allocates per class, not per flow.  Replay
+// correctness rests on engine determinism: an engine restored from a
+// checkpoint and fed the same command sequence draws the same tickets
+// and reaches byte-identical state.  Bounded queues add the overload
+// posture: past queue_depth the coordinator
 // blocks with a deadline, then sheds the batch to deferred-re-solve
 // admission (arrivals applied, CELF deferred), metering the shed rate
 // through an obs::RateCusum alert.
@@ -68,7 +74,6 @@
 #include <iosfwd>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -81,6 +86,7 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "shard/id_table.hpp"
 #include "shard/mpsc_queue.hpp"
 #include "shard/partition.hpp"
 #include "traffic/flow.hpp"
@@ -378,8 +384,9 @@ class ShardedEngine {
     };
     Kind kind = Kind::kBatch;
     std::uint64_t epoch = 0;
-    // kBatch.
-    traffic::FlowSet arrivals;
+    // kBatch.  The arrivals are shared with the shard's redo ring (null
+    // when the batch has none), so recording a command copies no path.
+    std::shared_ptr<const traffic::FlowSet> arrivals;
     std::vector<FlowId64> arrival_ids;
     std::vector<FlowId64> departure_ids;
     /// Shed admission: the worker applies the batch with
@@ -404,7 +411,7 @@ class ShardedEngine {
     // kRestore.
     struct RestorePayload {
       engine::EngineCheckpoint checkpoint;
-      std::vector<std::pair<FlowId64, engine::FlowTicket>> tickets;
+      IdTable<engine::FlowTicket> tickets;
     };
     std::shared_ptr<RestorePayload> restore;
   };
@@ -420,7 +427,7 @@ class ShardedEngine {
     /// coordinator touches it only under the quiesced handoff (rule 3).
     std::unique_ptr<engine::Engine> engine;
     /// Fleet flow id -> this engine's ticket.  Same ownership rule.
-    std::unordered_map<FlowId64, engine::FlowTicket> tickets;
+    IdTable<engine::FlowTicket> tickets;
     MpscQueue<Command> queue;
     /// seq_cst park flag; pairs with MpscQueue::ConsumerIdle (see there).
     std::atomic<bool> parked{false};
@@ -469,7 +476,7 @@ class ShardedEngine {
     Command::Kind kind = Command::Kind::kBatch;
     std::uint64_t epoch = 0;
     bool shed = false;
-    traffic::FlowSet arrivals;
+    std::shared_ptr<const traffic::FlowSet> arrivals;
     std::vector<FlowId64> arrival_ids;
     std::vector<FlowId64> departure_ids;
     std::size_t budget = 0;
@@ -482,7 +489,7 @@ class ShardedEngine {
   /// checkpoint block plus the redo ring of commands routed since.
   struct ShardGuard {
     engine::EngineCheckpoint checkpoint;
-    std::vector<std::pair<FlowId64, engine::FlowTicket>> tickets;
+    IdTable<engine::FlowTicket> tickets;
     std::deque<RedoEntry> ring;
   };
 
@@ -535,7 +542,7 @@ class ShardedEngine {
   std::uint64_t epoch_ = 0;
   FlowId64 next_flow_id_ = 0;
   /// Owner shard of every live flow (the routing table for departures).
-  std::unordered_map<FlowId64, std::uint32_t> flow_owner_;
+  IdTable<std::uint32_t> flow_owner_;
   std::vector<std::size_t> shard_budget_;
   FleetStats stats_;
 

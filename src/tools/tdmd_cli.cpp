@@ -334,6 +334,7 @@ int Viz(int argc, char** argv) {
 struct ShardedServeParams {
   std::size_t shards = 1;
   std::string partition = "bfs";
+  bool partition_given = false;  // --partition was on the command line
   std::size_t k = 8;
   std::size_t epochs = 20;
   std::size_t arrival_count = 5;
@@ -408,6 +409,46 @@ int ServeTraceSharded(const core::Instance& inst,
   options.partition.num_shards = params.shards;
   options.partition.seed = params.seed;
   options.total_budget = params.k;
+  // A restored fleet takes its partition from the checkpoint, so --seed
+  // drives only the churn, as it does for a single engine.  Flags that
+  // contradict the record are user errors, diagnosed before any fleet
+  // exists.
+  std::optional<shard::FleetCheckpoint> restored;
+  if (!params.restore.empty()) {
+    auto checkpoint = shard::ReadFleetCheckpointFile(params.restore);
+    if (!checkpoint.ok()) Die(checkpoint.error);
+    restored = std::move(checkpoint.value);
+    if (restored->num_shards != params.shards) {
+      Die("--shards=" + std::to_string(params.shards) +
+          " contradicts the checkpoint's " +
+          std::to_string(restored->num_shards) + " shards");
+    }
+    if (params.partition_given &&
+        restored->method != options.partition.method) {
+      Die("--partition=" + params.partition +
+          " contradicts the checkpoint's " +
+          shard::PartitionMethodName(restored->method) + " partition");
+    }
+    std::size_t budget = 0;
+    for (const std::size_t b : restored->budgets) budget += b;
+    if (budget != params.k) {
+      Die("--k=" + std::to_string(params.k) +
+          " contradicts the checkpoint's fleet budget " +
+          std::to_string(budget));
+    }
+    for (const engine::EngineCheckpoint& block : restored->engines) {
+      if (block.num_vertices != inst.num_vertices()) {
+        Die("checkpoint network size " + std::to_string(block.num_vertices) +
+            " != instance network size " +
+            std::to_string(inst.num_vertices()));
+      }
+      if (block.lambda != inst.lambda()) {
+        Die("checkpoint lambda does not match the instance's lambda");
+      }
+    }
+    options.partition.method = restored->method;
+    options.partition.seed = restored->partition_seed;
+  }
   options.engine.lambda = inst.lambda();
   options.engine.move_threshold = params.move_threshold;
   options.engine.resolve_churn_fraction = params.resolve_churn_fraction;
@@ -457,20 +498,18 @@ int ServeTraceSharded(const core::Instance& inst,
   // Every flow's id by arrival sequence (the trace's departure
   // numbering); departed entries stay in place.
   std::vector<shard::FlowId64> handles;
-  if (!params.restore.empty()) {
-    auto checkpoint = shard::ReadFleetCheckpointFile(params.restore);
-    if (!checkpoint.ok()) Die(checkpoint.error);
-    fleet.Restore(*checkpoint.value);
-    handles.reserve(checkpoint.value->flows.size());
-    for (const shard::FleetCheckpoint::FlowEntry& entry :
-         checkpoint.value->flows) {
+  if (restored.has_value()) {
+    fleet.Restore(*restored);
+    handles.reserve(restored->flows.size());
+    for (const shard::FleetCheckpoint::FlowEntry& entry : restored->flows) {
       handles.push_back(entry.id);
     }
     std::printf("restored %s: fleet epoch %llu, %zu active flows, "
                 "%zu shards\n",
                 params.restore.c_str(),
-                static_cast<unsigned long long>(checkpoint.value->epoch),
-                handles.size(), checkpoint.value->num_shards);
+                static_cast<unsigned long long>(restored->epoch),
+                handles.size(), restored->num_shards);
+    restored.reset();  // the fleet holds its own copy now
   } else {
     traffic::FlowSet prefill;
     prefill.reserve(static_cast<std::size_t>(inst.num_flows()));
@@ -713,6 +752,7 @@ int ServeTrace(int argc, char** argv) {
     ShardedServeParams params;
     params.shards = static_cast<std::size_t>(*shards);
     params.partition = *partition_name;
+    params.partition_given = parser.Given("partition");
     params.k = static_cast<std::size_t>(*k);
     params.epochs = static_cast<std::size_t>(*epochs);
     params.arrival_count = static_cast<std::size_t>(*arrival_count);
@@ -811,9 +851,9 @@ int ServeTrace(int argc, char** argv) {
           std::to_string(inst.num_vertices()));
     }
     eng.Restore(cp);
-    handles.reserve(cp.active_flows.size());
-    for (const engine::EngineCheckpoint::ActiveFlow& f : cp.active_flows) {
-      handles.push_back(f.ticket);
+    handles.reserve(cp.flows.records.size());
+    for (const engine::ClassKeyedFlows::Record& record : cp.flows.records) {
+      handles.push_back(record.ticket);
     }
     std::printf("restored %s: epoch %llu, %zu active flows, mode %s\n",
                 restore->c_str(),

@@ -45,6 +45,19 @@ TEST(ArgParserTest, SpaceSeparatedSyntax) {
   EXPECT_EQ(*k, 7);
 }
 
+TEST(ArgParserTest, GivenNamesOnlyFlagsOnTheCommandLine) {
+  ArgParser parser("prog", "test");
+  (void)parser.AddString("partition", "bfs", "partitioner");
+  (void)parser.AddInt("k", 8, "budget");
+  (void)parser.AddBool("verbose", false, "chatty");
+  auto argv = Argv({"--partition=bfs", "--verbose"});
+  parser.Parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_TRUE(parser.Given("partition"));  // even when equal to the default
+  EXPECT_TRUE(parser.Given("verbose"));
+  EXPECT_FALSE(parser.Given("k"));
+  EXPECT_FALSE(parser.Given("unregistered"));
+}
+
 TEST(ArgParserTest, BareBoolFlagSetsTrue) {
   ArgParser parser("prog", "test");
   const auto* verbose = parser.AddBool("verbose", false, "chatty");

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/gtp.hpp"
 #include "core/objective.hpp"
 #include "engine/coverage_index.hpp"
+#include "setcover/reduction.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
 
@@ -165,7 +169,62 @@ TEST(IncrementalGtpPropertyTest, MatchesBatchAfterChurn) {
 
 // The engine's re-solve mode: feasibility-aware selection while flows are
 // unserved, CELF afterwards.  Must match batch GTP's feasibility_aware
-// mode (the churn benches' from-scratch reference) exactly.
+// mode (the churn benches' from-scratch reference) exactly.  The inputs
+// reach every verdict rule of the engine's feasibility probe: random
+// budgets, budgets equal to the greedy cover size (where the budget is
+// just tight enough, so coverability decides most rounds), and sink-bound
+// flow sets over a few sinks, where most popped candidates fail the
+// coverability check.
+void ExpectFeasibilityAwareMatchesBatch(graph::Digraph network,
+                                        const traffic::FlowSet& flows,
+                                        double lambda, std::size_t k,
+                                        const std::string& label) {
+  FlowCoverageIndex index(network, lambda);
+  for (const traffic::Flow& flow : flows) index.AddFlow(flow);
+
+  IncrementalGtpOptions incremental_options;
+  incremental_options.max_middleboxes = k;
+  incremental_options.feasibility_aware = true;
+  const IncrementalGtpResult incremental =
+      SolveIncrementalGtp(index, incremental_options);
+
+  core::GtpOptions batch_options;
+  batch_options.max_middleboxes = k;
+  batch_options.feasibility_aware = true;
+  const core::Instance instance(std::move(network), flows, lambda);
+  const core::PlacementResult batch = Gtp(instance, batch_options);
+
+  EXPECT_EQ(incremental.deployment.vertices(), batch.deployment.vertices())
+      << label;
+  EXPECT_EQ(incremental.bandwidth, batch.bandwidth) << label;
+  EXPECT_EQ(incremental.feasible, batch.feasible) << label;
+}
+
+/// Size of setcover::GreedyCover over S_v = flows through v (Theorem 1's
+/// set-cover side), or 0 when some flow is uncoverable.
+std::size_t GreedyCoverSize(const graph::Digraph& network,
+                            const traffic::FlowSet& flows) {
+  const std::optional<setcover::Cover> cover = setcover::GreedyCover(
+      setcover::ReduceTdmdToSetCover(network, flows));
+  return cover.has_value() ? cover->size() : 0;
+}
+
+/// `count` flows, each from a random vertex to one of the first `sinks`
+/// vertices along a shortest-hop path.
+traffic::FlowSet SinkBoundFlows(const graph::Digraph& network,
+                                std::size_t count, std::size_t sinks,
+                                Rng& rng) {
+  traffic::FlowSet flows;
+  while (flows.size() < count) {
+    const auto src = static_cast<VertexId>(
+        rng.NextBounded(static_cast<std::uint64_t>(network.num_vertices())));
+    const auto dst = static_cast<VertexId>(rng.NextBounded(sinks));
+    if (src == dst || !graph::ShortestHopPath(network, src, dst)) continue;
+    flows.push_back(MakeFlow(network, src, dst, rng.NextInt(1, 12)));
+  }
+  return flows;
+}
+
 TEST(IncrementalGtpPropertyTest, FeasibilityAwareMatchesBatch) {
   Rng rng(911);
   for (int trial = 0; trial < 60; ++trial) {
@@ -173,30 +232,39 @@ TEST(IncrementalGtpPropertyTest, FeasibilityAwareMatchesBatch) {
     graph::Digraph network = topology::Waxman(n, 0.5, 0.4, rng);
     const traffic::FlowSet flows =
         RandomGeneralFlows(network, 5 + (static_cast<std::size_t>(trial) * 3) % 25, rng);
-    const double lambda = LambdaFor(trial);
     const std::size_t k = 1 + static_cast<std::size_t>(trial) % 6;
-
-    FlowCoverageIndex index(network, lambda);
-    for (const traffic::Flow& flow : flows) index.AddFlow(flow);
-
-    IncrementalGtpOptions incremental_options;
-    incremental_options.max_middleboxes = k;
-    incremental_options.feasibility_aware = true;
-    const IncrementalGtpResult incremental =
-        SolveIncrementalGtp(index, incremental_options);
-
-    core::GtpOptions batch_options;
-    batch_options.max_middleboxes = k;
-    batch_options.feasibility_aware = true;
-    const core::Instance instance(std::move(network), flows, lambda);
-    const core::PlacementResult batch = Gtp(instance, batch_options);
-
-    EXPECT_EQ(incremental.deployment.vertices(), batch.deployment.vertices())
-        << "feasibility-aware trial " << trial;
-    EXPECT_EQ(incremental.bandwidth, batch.bandwidth)
-        << "feasibility-aware trial " << trial;
-    EXPECT_EQ(incremental.feasible, batch.feasible)
-        << "feasibility-aware trial " << trial;
+    ExpectFeasibilityAwareMatchesBatch(
+        std::move(network), flows, LambdaFor(trial), k,
+        "feasibility-aware trial " + std::to_string(trial));
+  }
+  // k equal to the greedy cover size: the tightest budget greedy covers.
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<VertexId>(10 + trial % 25);
+    graph::Digraph network = topology::Waxman(n, 0.5, 0.4, rng);
+    const traffic::FlowSet flows = RandomGeneralFlows(
+        network, 10 + (static_cast<std::size_t>(trial) * 7) % 40, rng);
+    const std::size_t k = GreedyCoverSize(network, flows);
+    if (k == 0) continue;
+    ExpectFeasibilityAwareMatchesBatch(
+        std::move(network), flows, LambdaFor(trial), k,
+        "greedy-cover-budget trial " + std::to_string(trial));
+  }
+  // Sink-bound flow sets (every flow ends at one of a few sinks, as in the
+  // ledger's workloads), at the greedy cover size and one box either side.
+  for (int trial = 0; trial < 45; ++trial) {
+    const auto n = static_cast<VertexId>(16 + trial % 24);
+    graph::Digraph network = topology::Waxman(n, 0.4, 0.3, rng);
+    const std::size_t sinks = 2 + static_cast<std::size_t>(trial) % 3;
+    const std::size_t count =
+        30 + (static_cast<std::size_t>(trial) * 11) % 90;
+    const traffic::FlowSet flows = SinkBoundFlows(network, count, sinks, rng);
+    const std::size_t cover = GreedyCoverSize(network, flows);
+    if (cover == 0) continue;
+    const std::size_t k = std::max<std::size_t>(
+        1, cover + static_cast<std::size_t>(trial % 3) - 1);
+    ExpectFeasibilityAwareMatchesBatch(
+        std::move(network), flows, LambdaFor(trial), k,
+        "sink-bound trial " + std::to_string(trial));
   }
 }
 

@@ -2,9 +2,11 @@
 // allocator itself: a counting global operator new/delete (glibc
 // malloc_usable_size) tracks live heap bytes, and the footprint reported
 // by FlowCoverageIndex must land within 25% of the measured delta of
-// building one.  Also covers the MpscQueue node accounting and the
+// building one.  Also covers the MpscQueue node accounting, the
 // tdmd_mem_* / tdmd_build_info / tdmd_profile_* gauges in the engine's
-// Prometheus exposition.
+// Prometheus exposition, and the allocation counts of the paths that must
+// not allocate per flow: known-path index deltas, checkpoint capture, and
+// fleet admission.  The counters are global, so they count every thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +18,13 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/contracts.hpp"
+#include "engine/checkpoint.hpp"
 #include "engine/coverage_index.hpp"
 #include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "shard/mpsc_queue.hpp"
+#include "shard/sharded_engine.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
 
@@ -173,6 +178,76 @@ TEST(ObsMemFootprint, KnownPathArrivalsAndDeparturesAllocateNothing) {
       << "arrivals on known paths allocated";
   EXPECT_EQ(index.num_path_classes(), classes);
   EXPECT_EQ(index.active_flows(), 2 * flows.size());
+}
+
+// Engine::Checkpoint keys its flows by path class: each live path is
+// copied once and each flow is one fixed-size record, so capturing 8x the
+// flows over the same paths makes exactly as many allocations.
+TEST(ObsMemFootprint, CheckpointAllocationsDoNotGrowWithFlowsPerPath) {
+  Rng rng(17);
+  const core::Instance instance =
+      test::MakeRandomGeneralCase(40, 0.5, 1000, rng);
+  const auto checkpoint_allocations = [&](std::size_t copies) {
+    traffic::FlowSet flows;
+    for (std::size_t c = 0; c < copies; ++c) {
+      flows.insert(flows.end(), instance.flows().begin(),
+                   instance.flows().end());
+    }
+    EngineOptions options;
+    options.k = 6;
+    Engine eng(instance.network(), options);
+    (void)eng.SubmitBatch(flows, {});
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const EngineCheckpoint checkpoint = eng.Checkpoint();
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(checkpoint.flows.records.size(), flows.size());
+    return after - before;
+  };
+  EXPECT_EQ(checkpoint_allocations(1), checkpoint_allocations(8));
+}
+
+// A supervised fleet admits an arrival on a live path with one
+// allocation, the command's own copy of the path: the coordinator's and
+// the worker's id tables, the redo ring (which shares the command's
+// arrivals) and the engine's index add nothing per arrival.  Re-solves are
+// deferred and reallocation is off, so per-batch work stays per batch.
+TEST(ObsMemFootprint, SupervisedFleetAdmitsKnownPathArrivalsAtOneAllocation) {
+#if TDMD_AUDITS_ENABLED
+  GTEST_SKIP() << "audit builds rebuild the instance at every publish";
+#endif
+  Rng rng(19);
+  const core::Instance instance =
+      test::MakeRandomGeneralCase(40, 0.5, 400, rng);
+  shard::ShardedEngineOptions options;
+  options.partition.num_shards = 2;
+  options.total_budget = 16;
+  options.engine.lambda = instance.lambda();
+  options.engine.resolve_churn_fraction = 1e9;
+  options.realloc_interval_epochs = 0;
+  options.pin_threads = false;
+  options.supervise = true;
+  shard::ShardedEngine fleet(instance.network(), options);
+  // Warm-up: each path's class goes live on the shards that own copies of
+  // it (cross-shard owners depend on the fleet id), and the tables grow.
+  for (int round = 0; round < 4; ++round) {
+    (void)fleet.SubmitBatch(instance.flows(), {});
+  }
+  fleet.Drain();
+
+  constexpr std::size_t kBatches = 32;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    (void)fleet.SubmitBatch(instance.flows(), {});
+  }
+  fleet.Drain();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const double per_arrival =
+      static_cast<double>(after - before) /
+      static_cast<double>(kBatches * instance.flows().size());
+  EXPECT_LE(per_arrival, 1.25) << (after - before) << " allocations for "
+                               << kBatches * instance.flows().size()
+                               << " arrivals";
+  EXPECT_GE(fleet.stats().supervisor_checkpoints, 2u);
 }
 
 TEST(ObsMemFootprint, MpscQueueFootprintTracksOccupancy) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,7 +118,7 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
   // strictly ascending) and in exactly one shard's engine.
   std::size_t engine_flows = 0;
   for (const engine::EngineCheckpoint& ecp : cp.engines) {
-    engine_flows += ecp.active_flows.size();
+    engine_flows += ecp.flows.records.size();
   }
   EXPECT_EQ(engine_flows, cp.flows.size());
 
@@ -130,11 +131,18 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
     // The flow lives in its owner shard's engine (by ticket), and the
     // owner is the partition's deterministic pin for that flow.
     std::size_t hits = 0;
-    for (const auto& af : cp.engines[entry.shard].active_flows) {
-      if (af.ticket == entry.ticket) {
+    const engine::ClassKeyedFlows& flows = cp.engines[entry.shard].flows;
+    for (const engine::ClassKeyedFlows::Record& record : flows.records) {
+      if (record.ticket == entry.ticket) {
         ++hits;
-        EXPECT_EQ(OwnerShard(fleet.partition(), af.flow, entry.id),
-                  entry.shard);
+        const std::span<const VertexId> path =
+            flows.ClassPath(record.path_class);
+        traffic::Flow flow;
+        flow.src = path.front();
+        flow.dst = path.back();
+        flow.rate = record.rate;
+        flow.path.vertices.assign(path.begin(), path.end());
+        EXPECT_EQ(OwnerShard(fleet.partition(), flow, entry.id), entry.shard);
       }
     }
     EXPECT_EQ(hits, 1u) << "flow " << entry.id;
