@@ -3,21 +3,21 @@
 // Replays one seeded churn workload twice over the same Ark-derived
 // general topology:
 //
-//   * clean: engine::Engine with no fault injection — the NORMAL-mode
+//   * clean: engine::Engine with no fault injection — the healthy
 //     reference bandwidth per epoch.
 //   * faulted: the same engine with a FaultInjector armed for a burst of
 //     epochs (injected greedy-round throws make every re-solve fail), then
-//     disarmed.  The burst drives the degradation state machine down to
-//     PATCH_ONLY; the tail measures how many clean epochs the probe
-//     cadence needs to return to NORMAL.
+//     disarmed.  The burst's failure streak drives the engine into its
+//     re-solve backoff; the tail measures how many clean epochs the probe
+//     cadence needs to end the streak.
 //
 // Reported (stdout + BENCH_robustness.json for the CI artifact):
 //   * degraded_bandwidth_overhead — mean relative bandwidth excess of the
-//     faulted run vs the clean run over the epochs it spent degraded (the
-//     price of serving on patches alone),
-//   * recovery_epochs — epochs from disarm until mode == NORMAL,
-//   * patch_only_reached / recovered / always_feasible — the degradation
-//     round-trip facts the robustness tests pin, re-checked on a bigger
+//     faulted run vs the clean run over the epochs that ended on a
+//     failure streak (the price of serving on patches alone),
+//   * recovery_epochs — epochs from disarm until the streak is 0,
+//   * backoff_reached / recovered / always_feasible — the backoff round
+//     trip facts the robustness tests pin, re-checked on a bigger
 //     workload.
 #include <algorithm>
 #include <fstream>
@@ -35,7 +35,9 @@ namespace {
 
 struct ReplayResult {
   std::vector<Bandwidth> bandwidth_per_epoch;
-  std::vector<engine::EngineMode> mode_per_epoch;
+  /// Re-solve failure streak after each epoch.
+  std::vector<std::uint64_t> streak_per_epoch;
+  bool backoff_reached = false;
   bool always_feasible = true;
   engine::EngineStats stats;
   /// Per-epoch SubmitBatch wall time (tail latency under fault bursts).
@@ -72,7 +74,8 @@ ReplayResult Replay(const ChurnWorkload& w,
                    batch.tickets.end());
     const auto snapshot = eng.CurrentSnapshot();
     r.bandwidth_per_epoch.push_back(snapshot->bandwidth);
-    r.mode_per_epoch.push_back(eng.mode());
+    r.streak_per_epoch.push_back(eng.stats().consecutive_failures);
+    r.backoff_reached = r.backoff_reached || batch.backing_off;
     r.always_feasible = r.always_feasible && snapshot->feasible;
   }
   r.stats = eng.stats();
@@ -94,9 +97,6 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
   options.lambda = lambda;
   options.move_threshold = 0.0;
   options.max_resolve_retries = 1;
-  options.degrade_after_failures = 2;
-  options.patch_only_after_failures = 4;
-  options.probe_interval_epochs = 4;
 
   const ReplayResult clean =
       Replay(workload, options, nullptr, 0, 0);
@@ -112,16 +112,13 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
       Replay(workload, faulted_options, &injector, burst_start,
              burst_epochs);
 
-  // Mean relative bandwidth excess over the epochs spent degraded.
+  // Mean relative bandwidth excess over the epochs that ended on a
+  // failure streak.
   double overhead_sum = 0.0;
-  std::size_t degraded_epochs = 0;
-  bool patch_only_reached = false;
+  std::size_t failing_epochs = 0;
   for (std::size_t e = 0; e < epochs; ++e) {
-    patch_only_reached = patch_only_reached ||
-                         faulted.mode_per_epoch[e] ==
-                             engine::EngineMode::kPatchOnly;
-    if (faulted.mode_per_epoch[e] == engine::EngineMode::kNormal) continue;
-    ++degraded_epochs;
+    if (faulted.streak_per_epoch[e] == 0) continue;
+    ++failing_epochs;
     if (clean.bandwidth_per_epoch[e] > 0.0) {
       overhead_sum += faulted.bandwidth_per_epoch[e] /
                           clean.bandwidth_per_epoch[e] -
@@ -129,15 +126,14 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
     }
   }
   const double overhead =
-      degraded_epochs > 0 ? overhead_sum /
-                                static_cast<double>(degraded_epochs)
-                          : 0.0;
+      failing_epochs > 0 ? overhead_sum / static_cast<double>(failing_epochs)
+                         : 0.0;
 
-  // Epochs from disarm until the state machine reports NORMAL again.
+  // Epochs from disarm until a clean re-solve ends the streak.
   const std::size_t burst_end = burst_start + burst_epochs;
   std::ptrdiff_t recovery_epochs = -1;
   for (std::size_t e = burst_end; e < epochs; ++e) {
-    if (faulted.mode_per_epoch[e] == engine::EngineMode::kNormal) {
+    if (faulted.streak_per_epoch[e] == 0) {
       recovery_epochs = static_cast<std::ptrdiff_t>(e - burst_end) + 1;
       break;
     }
@@ -148,13 +144,12 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
             << " epochs, burst [" << burst_start << ", " << burst_end
             << "), k=" << k << ", seed=" << seed << ", fault-seed="
             << fault_seed << "\n"
-            << "  patch_only_reached  " << patch_only_reached << "\n"
-            << "  degraded_epochs     " << degraded_epochs << "\n"
+            << "  backoff_reached     " << faulted.backoff_reached << "\n"
+            << "  failing_epochs      " << failing_epochs << "\n"
             << "  bandwidth_overhead  " << overhead << "\n"
             << "  recovery_epochs     " << recovery_epochs << "\n"
             << "  always_feasible     " << faulted.always_feasible << "\n"
             << "  resolve_failures    " << faulted.stats.resolve_failures
-            << "  mode_transitions=" << faulted.stats.mode_transitions
             << "\n";
 
   if (!json_out.empty()) {
@@ -173,15 +168,14 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
     json.Field("fault_seed", fault_seed);
     json.Field("burst_start", burst_start);
     json.Field("burst_epochs", burst_epochs);
-    json.Field("patch_only_reached", patch_only_reached);
-    json.Field("degraded_epochs", degraded_epochs);
+    json.Field("backoff_reached", faulted.backoff_reached);
+    json.Field("failing_epochs", failing_epochs);
     json.Field("degraded_bandwidth_overhead", overhead);
     json.Field("recovery_epochs", recovery_epochs);
     json.Field("recovered", recovered);
     json.Field("always_feasible", faulted.always_feasible);
     json.Field("resolve_failures", faulted.stats.resolve_failures);
     json.Field("resolve_retries", faulted.stats.resolve_retries);
-    json.Field("mode_transitions", faulted.stats.mode_transitions);
     EmitHistogramMs(json, "clean_epoch", clean.epoch_ns);
     EmitHistogramMs(json, "faulted_epoch", faulted.epoch_ns);
   }
@@ -194,9 +188,9 @@ int main(int argc, char** argv) {
   using namespace tdmd;
   ArgParser parser(
       "fault_recovery",
-      "Degradation round trip under an injected fault burst: bandwidth "
-      "overhead of degraded serving, and epochs to recover to NORMAL "
-      "after the burst ends.");
+      "Backoff round trip under an injected fault burst: bandwidth "
+      "overhead of serving on patches alone, and epochs until a clean "
+      "re-solve ends the failure streak after the burst.");
   const auto* size = parser.AddInt("size", 24, "general topology size");
   const auto* flows = parser.AddInt("flows", 2000, "prefill flow count");
   const auto* epochs = parser.AddInt("epochs", 24, "churn epochs");

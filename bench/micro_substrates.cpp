@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "core/tdmd.hpp"
 #include "graph/lca.hpp"
-#include "graph/lca_lifting.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/link_sim.hpp"
 #include "topology/generators.hpp"
@@ -60,31 +59,6 @@ void BM_LcaQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LcaQuery)->Arg(256)->Arg(4096);
-
-void BM_LcaLiftingBuild(benchmark::State& state) {
-  Rng rng(1);
-  const graph::Tree tree =
-      topology::RandomTree(static_cast<VertexId>(state.range(0)), rng);
-  for (auto _ : state) {
-    graph::BinaryLiftingLca index(tree);
-    benchmark::DoNotOptimize(index);
-  }
-}
-BENCHMARK(BM_LcaLiftingBuild)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_LcaLiftingQuery(benchmark::State& state) {
-  Rng rng(2);
-  const auto n = static_cast<VertexId>(state.range(0));
-  const graph::Tree tree = topology::RandomTree(n, rng);
-  const graph::BinaryLiftingLca index(tree);
-  VertexId u = 0, v = n / 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Query(u, v));
-    u = (u + 7) % n;
-    v = (v + 13) % n;
-  }
-}
-BENCHMARK(BM_LcaLiftingQuery)->Arg(256)->Arg(4096);
 
 void BM_TreeDp(benchmark::State& state) {
   const TreeFixture fixture =

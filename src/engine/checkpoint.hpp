@@ -1,7 +1,7 @@
 // EngineCheckpoint: the serializable client-visible state of an Engine.
 //
 // Captured by Engine::Checkpoint() under the state lock and written by
-// io::WriteEngineCheckpoint as an `engine-checkpoint v1` text record; a
+// io::WriteEngineCheckpoint as an `engine-checkpoint v2` text record; a
 // crashed serving process restores by constructing a fresh Engine over
 // the same network/options and calling Engine::Restore().  The record is
 // deliberately exact rather than semantic:
@@ -13,7 +13,7 @@
 //   * In memory the flows are keyed by path class (ClassKeyedFlows): each
 //     live path once, plus one {ticket, class, rate} record per flow, so
 //     a capture allocates per class, not per flow, and a restore
-//     validates each distinct path once.  The v1 text record still spells
+//     validates each distinct path once.  The text record still spells
 //     each flow's path out on its own line; the reader regroups them.
 //   * The maintained bandwidth is serialized as a hexfloat, so the
 //     incrementally-maintained double round-trips bit-exactly instead of
@@ -40,8 +40,6 @@ struct EngineCheckpoint {
   /// the publish counter from it so the version sequence continues as in
   /// the uninterrupted run.
   std::uint64_t snapshot_version = 0;
-  EngineMode mode = EngineMode::kNormal;
-  std::uint64_t consecutive_failures = 0;
   std::uint64_t epochs_since_probe = 0;
   /// Churn accumulated toward the resolve_churn_fraction deferral rule;
   /// restored exactly so a resumed engine defers (or re-solves) on the
@@ -54,6 +52,7 @@ struct EngineCheckpoint {
   VertexId num_vertices = 0;
   Bandwidth maintained_bandwidth = 0.0;
   bool maintained_feasible = true;
+  /// Counters, including the failure streak that drives the backoff.
   EngineStats stats;
   /// Deployed vertices in insertion order (Deployment::ToString renders
   /// insertion order, so byte-identical replay depends on preserving it).
@@ -70,7 +69,7 @@ struct EngineCheckpoint {
   /// Latency-histogram state (EngineHistograms) at checkpoint time, so
   /// post-restore metrics keep accumulating instead of restarting from
   /// empty.  Serialized as the *optional* trailing histograms section of
-  /// the v1 record — records written before this section existed restore
+  /// the record — records written before this section existed restore
   /// with empty histograms, and WriteEngineCheckpoint can omit it
   /// (EngineCheckpointWriteOptions) because timing samples are not
   /// deterministic and would break byte-identical-replay comparisons.
@@ -79,7 +78,7 @@ struct EngineCheckpoint {
   obs::HistogramSnapshot index_delta_histogram;
   obs::HistogramSnapshot greedy_round_histogram;
   /// Quality-observability state (tracker certificate, attribution ledger,
-  /// timeline ring + detectors), serialized as the optional `quality v1`
+  /// timeline ring + detectors), serialized as the optional `quality v2`
   /// section after the histograms.  Unlike the histograms this state *is*
   /// deterministic in the churn stream, so restoring it keeps replayed
   /// timelines byte-identical.  False when the engine samples no quality;
@@ -95,11 +94,11 @@ namespace internal {
 inline constexpr std::size_t kEngineStatsCounters =
     0 TDMD_ENGINE_STATS_COUNTERS(TDMD_COUNT_ONE);
 #undef TDMD_COUNT_ONE
-/// EngineStats must stay "N uint64 counters + mode"; the checkpoint
-/// serializer iterates TDMD_ENGINE_STATS_COUNTERS, so a counter added to
-/// the struct but not the list (or vice versa) must not compile.
+/// EngineStats must stay "N uint64 counters"; the checkpoint serializer
+/// iterates TDMD_ENGINE_STATS_COUNTERS, so a counter added to the struct
+/// but not the list (or vice versa) must not compile.
 static_assert(sizeof(EngineStats) ==
-                  (kEngineStatsCounters + 1) * sizeof(std::uint64_t),
+                  kEngineStatsCounters * sizeof(std::uint64_t),
               "EngineStats and TDMD_ENGINE_STATS_COUNTERS out of sync");
 }  // namespace internal
 

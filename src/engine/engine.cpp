@@ -47,18 +47,6 @@ constexpr std::size_t kMaxIndexDeltaRetries = 64;
 
 }  // namespace
 
-const char* EngineModeName(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kNormal:
-      return "normal";
-    case EngineMode::kDegraded:
-      return "degraded";
-    case EngineMode::kPatchOnly:
-      return "patch-only";
-  }
-  return "unknown";
-}
-
 Engine::Engine(graph::Digraph network, EngineOptions options)
     : options_(options),
       budget_k_(options.k),
@@ -68,13 +56,6 @@ Engine::Engine(graph::Digraph network, EngineOptions options)
   TDMD_CHECK_MSG(options_.k >= 1, "middlebox budget k must be >= 1");
   TDMD_CHECK_MSG(options_.resolve_churn_fraction >= 0.0,
                  "resolve_churn_fraction must be >= 0");
-  TDMD_CHECK_MSG(options_.degrade_after_failures >= 1 &&
-                     options_.degrade_after_failures <=
-                         options_.patch_only_after_failures,
-                 "degradation thresholds must satisfy 1 <= degrade <= "
-                 "patch_only");
-  TDMD_CHECK_MSG(options_.probe_interval_epochs >= 1,
-                 "probe_interval_epochs must be >= 1");
   if (options_.fault_injector != nullptr) {
     index_.set_fault_injector(options_.fault_injector);
   }
@@ -118,8 +99,7 @@ Engine::BatchResult Engine::SubmitBatch(
   epoch_span.set_arg(epoch_);
   // Adoption-staleness clock ticks once per epoch, before any sampling.
   if (options_.quality_sampling) quality_tracker_.OnEpoch();
-  if (mode_ == EngineMode::kDegraded) ++stats_.degraded_epochs;
-  if (mode_ == EngineMode::kPatchOnly) ++stats_.patch_only_epochs;
+  if (BackingOffLocked()) ++stats_.patch_only_epochs;
 
   {
     // One batched index-delta sample per epoch (not per op) keeps the
@@ -193,9 +173,8 @@ Engine::BatchResult Engine::SubmitBatch(
   // been applied and published above, and pending_churn_ carries the
   // deferred work into the next un-shed epoch's cadence check.
   if (!submit.defer_resolve && index_.active_flows() > 0) {
-    if (mode_ == EngineMode::kPatchOnly) {
-      ++epochs_since_probe_;
-      if (epochs_since_probe_ >= options_.probe_interval_epochs) {
+    if (BackingOffLocked()) {
+      if (++epochs_since_probe_ >= kProbeIntervalEpochs) {
         epochs_since_probe_ = 0;
         ResolveLocked();  // probe: detects solver recovery
       }
@@ -203,6 +182,7 @@ Engine::BatchResult Engine::SubmitBatch(
       ResolveLocked();
     }
   }
+  result.backing_off = BackingOffLocked();
   // The batch's last published-state advance: a re-solve adoption when
   // one landed inside this call, otherwise the patch publish.  Fleet runs
   // mark it with a batch-adopted instant so the merged trace closes each
@@ -347,7 +327,6 @@ void Engine::PublishLocked() {
     obs::QualitySampleInputs inputs;
     inputs.epoch = epoch_;
     inputs.version = version;
-    inputs.mode = static_cast<std::uint64_t>(mode_);
     inputs.feasible = maintained_feasible_;
     inputs.deployed = static_cast<std::uint32_t>(deployment_.size());
     inputs.budget = static_cast<std::uint32_t>(budget_k_);
@@ -415,34 +394,6 @@ void Engine::MaybeAdoptLocked(const IncrementalGtpResult& result,
   }
 }
 
-void Engine::RecordResolveFailureLocked() {
-  ++consecutive_failures_;
-  stats_.consecutive_failures = consecutive_failures_;
-  EngineMode target = mode_;
-  if (consecutive_failures_ >= options_.patch_only_after_failures) {
-    target = EngineMode::kPatchOnly;
-  } else if (consecutive_failures_ >= options_.degrade_after_failures) {
-    target = EngineMode::kDegraded;
-  }
-  TransitionLocked(target);
-}
-
-void Engine::RecordResolveSuccessLocked() {
-  consecutive_failures_ = 0;
-  stats_.consecutive_failures = 0;
-  TransitionLocked(EngineMode::kNormal);
-}
-
-void Engine::TransitionLocked(EngineMode target) {
-  if (target == mode_) return;
-  mode_ = target;
-  stats_.mode = mode_;
-  ++stats_.mode_transitions;
-  obs::TraceInstant(obs::TracePhase::kModeTransition,
-                    static_cast<std::uint64_t>(target));
-  if (mode_ == EngineMode::kPatchOnly) epochs_since_probe_ = 0;
-}
-
 bool Engine::HandleResolveOutcomeLocked(const IncrementalGtpResult& result,
                                         bool threw, std::size_t attempt) {
   stats_.gain_reevals += result.oracle_calls;
@@ -467,13 +418,18 @@ bool Engine::HandleResolveOutcomeLocked(const IncrementalGtpResult& result,
   } else {
     ++stats_.resolves_completed;
     MaybeAdoptLocked(result, /*expired=*/false);
-    RecordResolveSuccessLocked();
+    // The first clean completion ends the streak, and any backoff with it.
+    if (BackingOffLocked()) obs::TraceInstant(obs::TracePhase::kBackoff, 0);
+    stats_.consecutive_failures = 0;
     return false;
   }
 
-  RecordResolveFailureLocked();
-  if (attempt < options_.max_resolve_retries &&
-      mode_ != EngineMode::kPatchOnly) {
+  if (++stats_.consecutive_failures == kBackoffAfterFailures) {
+    // The backoff edge: the probe interval counts from here.
+    epochs_since_probe_ = 0;
+    obs::TraceInstant(obs::TracePhase::kBackoff, 1);
+  }
+  if (attempt < options_.max_resolve_retries && !BackingOffLocked()) {
     ++stats_.resolve_retries;
     return true;
   }
@@ -521,8 +477,6 @@ std::shared_ptr<const DeploymentSnapshot> Engine::CurrentSnapshot() const {
 EngineStats Engine::StatsLocked() const {
   EngineStats stats = stats_;
   stats.index_delta_ops = index_.stats().delta_ops;
-  stats.mode = mode_;
-  stats.consecutive_failures = consecutive_failures_;
   return stats;
 }
 
@@ -531,9 +485,9 @@ EngineStats Engine::stats() const {
   return StatsLocked();
 }
 
-EngineMode Engine::mode() const {
+bool Engine::backing_off() const {
   MutexLock lock(state_mu_);
-  return mode_;
+  return BackingOffLocked();
 }
 
 std::size_t Engine::budget() const {
@@ -621,10 +575,6 @@ obs::MetricsRegistry Engine::Metrics() const {
                       "EngineStats counter " #name);
   TDMD_ENGINE_STATS_COUNTERS(TDMD_EXPOSE_COUNTER)
 #undef TDMD_EXPOSE_COUNTER
-  registry.AddCounter("tdmd_engine_mode",
-                      static_cast<std::uint64_t>(counters.mode),
-                      "degradation mode (0 normal, 1 degraded, 2 "
-                      "patch-only)");
   registry.AddHistogramNs("tdmd_engine_patch_latency", latencies.patch_ns,
                           "synchronous feasibility patch per epoch");
   registry.AddHistogramNs("tdmd_engine_resolve_latency",
@@ -725,8 +675,6 @@ EngineCheckpoint Engine::Checkpoint() const {
     MutexLock snapshot_lock(snapshot_mu_);
     checkpoint.snapshot_version = snapshot_->version;
   }
-  checkpoint.mode = mode_;
-  checkpoint.consecutive_failures = consecutive_failures_;
   checkpoint.epochs_since_probe = epochs_since_probe_;
   checkpoint.pending_churn = pending_churn_;
   checkpoint.k = budget_k_;
@@ -734,10 +682,7 @@ EngineCheckpoint Engine::Checkpoint() const {
   checkpoint.num_vertices = index_.num_vertices();
   checkpoint.maintained_bandwidth = maintained_bandwidth_;
   checkpoint.maintained_feasible = maintained_feasible_;
-  checkpoint.stats = stats_;
-  checkpoint.stats.index_delta_ops = index_.stats().delta_ops;
-  checkpoint.stats.mode = mode_;
-  checkpoint.stats.consecutive_failures = consecutive_failures_;
+  checkpoint.stats = StatsLocked();
   checkpoint.deployment = deployment_.vertices();  // insertion order
   checkpoint.uncovered = uncovered_;
   checkpoint.flows = index_.LiveFlows();
@@ -786,13 +731,9 @@ void Engine::Restore(const EngineCheckpoint& checkpoint) {
   maintained_feasible_ = checkpoint.maintained_feasible;
   uncovered_ = checkpoint.uncovered;
   epoch_ = checkpoint.epoch;
-  mode_ = checkpoint.mode;
-  consecutive_failures_ = checkpoint.consecutive_failures;
   epochs_since_probe_ = checkpoint.epochs_since_probe;
   pending_churn_ = checkpoint.pending_churn;
   stats_ = checkpoint.stats;
-  stats_.mode = mode_;
-  stats_.consecutive_failures = consecutive_failures_;
   TDMD_CHECK_MSG(
       histograms_.patch_ns.Restore(checkpoint.patch_histogram) &&
           histograms_.resolve_ns.Restore(checkpoint.resolve_histogram) &&

@@ -31,11 +31,12 @@
 //     degraded answer now beats a perfect answer never).
 //   * Failed / expired / injected-cancel attempts are retried inline, up
 //     to max_resolve_retries per epoch.
-//   * Consecutive re-solve failures drive a degradation state machine
-//     NORMAL -> DEGRADED -> PATCH_ONLY.  DEGRADED labels a failure streak
-//     and changes no scheduling; PATCH_ONLY stops re-solving except for a
-//     probe attempt every probe_interval_epochs.  Any clean completion
-//     resets the machine to NORMAL.
+//   * The engine's one health state is its re-solve failure streak.  After
+//     kBackoffAfterFailures consecutive failures it backs off: no more
+//     retries, and re-solves run only as a probe every
+//     kProbeIntervalEpochs epochs.  The first clean completion ends the
+//     backoff.  Whether a backing-off engine degrades its fleet is the
+//     shard supervisor's call (src/shard).
 //
 // Deployments are published as immutable, versioned snapshots behind
 // shared_ptr: readers on any thread grab CurrentSnapshot() and keep using
@@ -70,21 +71,13 @@
 
 namespace tdmd::engine {
 
-/// Degradation state machine (DESIGN.md Section 9.2).  The underlying
-/// type is fixed so EngineStats stays a flat block of 64-bit words (see
-/// the static_assert next to the checkpoint serializer).
-enum class EngineMode : std::uint64_t {
-  /// Healthy: re-solves run at the resolve_churn_fraction cadence.
-  kNormal = 0,
-  /// Re-solves keep failing (degrade_after_failures in a row).  A label
-  /// for the failure streak: scheduling is the same as in NORMAL.
-  kDegraded = 1,
-  /// Re-solves presumed useless: only the synchronous patch runs, plus a
-  /// probe re-solve every probe_interval_epochs to detect recovery.
-  kPatchOnly = 2,
-};
-
-const char* EngineModeName(EngineMode mode);
+/// Re-solve backoff (DESIGN.md Section 9.2): after this many consecutive
+/// failed attempts the engine presumes re-solves useless and serves on
+/// the synchronous patch alone...
+inline constexpr std::uint64_t kBackoffAfterFailures = 4;
+/// ...except for one probe re-solve every this many epochs, whose clean
+/// completion ends the backoff.
+inline constexpr std::uint64_t kProbeIntervalEpochs = 4;
 
 struct EngineOptions {
   /// Middlebox budget k (Section 3.1); the engine never deploys more.
@@ -132,12 +125,6 @@ struct EngineOptions {
   /// Retries per epoch after a failed/expired first attempt.  Retries
   /// run back to back without sleeping, keeping runs deterministic.
   std::size_t max_resolve_retries = 3;
-  /// Consecutive re-solve failures before NORMAL -> DEGRADED and before
-  /// DEGRADED -> PATCH_ONLY.  Must satisfy 1 <= degrade <= patch_only.
-  std::uint64_t degrade_after_failures = 2;
-  std::uint64_t patch_only_after_failures = 4;
-  /// In PATCH_ONLY, probe with one re-solve every this many epochs.
-  std::uint64_t probe_interval_epochs = 4;
 };
 
 /// Immutable published deployment.  Readers hold the shared_ptr as long
@@ -182,15 +169,10 @@ struct EngineMemoryStats {
   X(middlebox_moves)                  \
   X(resolves_started)                 \
   X(resolves_completed)               \
-  X(resolves_cancelled)               \
   X(resolve_failures)                 \
   X(resolve_timeouts)                 \
   X(resolve_retries)                  \
   X(resolves_expired_adopted)         \
-  X(resolves_coalesced)               \
-  X(watchdog_cancels)                 \
-  X(mode_transitions)                 \
-  X(degraded_epochs)                  \
   X(patch_only_epochs)                \
   X(consecutive_failures)             \
   X(gain_reevals)                     \
@@ -220,10 +202,6 @@ struct EngineStats {
   std::uint64_t middlebox_moves = 0;
   std::uint64_t resolves_started = 0;
   std::uint64_t resolves_completed = 0;
-  /// Always zero: inline re-solves are never superseded.  Kept, like
-  /// resolves_coalesced and watchdog_cancels, so the checkpoint layout
-  /// and the tdmd_engine_* metric names stay unchanged.
-  std::uint64_t resolves_cancelled = 0;
   /// Attempts that threw or were cancelled by an injected fault.
   std::uint64_t resolve_failures = 0;
   /// Attempts that hit their deadline.
@@ -232,15 +210,11 @@ struct EngineStats {
   std::uint64_t resolve_retries = 0;
   /// Deadline-expired greedy prefixes adopted as degraded answers.
   std::uint64_t resolves_expired_adopted = 0;
-  /// Always zero (see resolves_cancelled).
-  std::uint64_t resolves_coalesced = 0;
-  /// Always zero (see resolves_cancelled).
-  std::uint64_t watchdog_cancels = 0;
-  std::uint64_t mode_transitions = 0;
-  /// Epochs served while in the respective degraded mode.
-  std::uint64_t degraded_epochs = 0;
+  /// Epochs begun while backing off (re-solves only as probes).
   std::uint64_t patch_only_epochs = 0;
-  /// Current failure streak (resets to zero on any clean completion).
+  /// Current re-solve failure streak — the engine's one health state,
+  /// stored only here.  Resets to zero on any clean completion; at
+  /// kBackoffAfterFailures or more the engine backs off.
   std::uint64_t consecutive_failures = 0;
   /// CELF marginal-gain evaluations performed across all re-solves.
   std::uint64_t gain_reevals = 0;
@@ -248,8 +222,6 @@ struct EngineStats {
   /// lazy heap skipped (Theorem 2's dividend).
   std::uint64_t reevals_saved = 0;
   std::uint64_t snapshots_published = 0;
-  /// Degradation mode at the time stats() was taken.
-  EngineMode mode = EngineMode::kNormal;
 };
 
 /// Latency distributions (nanosecond samples) recorded unconditionally —
@@ -292,6 +264,9 @@ class Engine {
     /// otherwise the patch publish itself).  Zero until the batch runs.
     std::uint64_t patched_ns = 0;
     std::uint64_t adopted_ns = 0;
+    /// True when the engine ends the batch backing off, so a shard worker
+    /// can publish its health without taking the engine lock again.
+    bool backing_off = false;
   };
 
   // Public entry points carry TDMD_EXCLUDES(state_mu_): calling back into
@@ -305,8 +280,9 @@ class Engine {
     /// batch is applied in full — index deltas, feasibility patch,
     /// snapshot publish — but no re-solve is scheduled this epoch.  The
     /// churn still accumulates in pending_churn_, so the next un-shed
-    /// epoch's cadence check sees the deferred work.  Equivalent to a
-    /// PATCH_ONLY epoch without a mode transition.
+    /// epoch's cadence check sees the deferred work.  Like a backoff
+    /// epoch, but without a probe and without touching the failure
+    /// streak.
     bool defer_resolve = false;
     /// Fleet-wide causal batch id stamped by the shard coordinator (0 =
     /// standalone engine, no binding).  Threaded onto this epoch's trace
@@ -319,8 +295,8 @@ class Engine {
 
   /// Applies one epoch of churn: departures (stale tickets are counted
   /// and ignored) then arrivals; patches feasibility; publishes a
-  /// snapshot; runs the re-solve the cadence and mode call for, inline,
-  /// before returning.
+  /// snapshot; runs the re-solve the cadence (or, while backing off, the
+  /// probe interval) calls for, inline, before returning.
   BatchResult SubmitBatch(const traffic::FlowSet& arrivals,
                           const std::vector<FlowTicket>& departures)
       TDMD_EXCLUDES(state_mu_);
@@ -339,8 +315,8 @@ class Engine {
   EngineHistograms histograms() const TDMD_EXCLUDES(state_mu_);
 
   /// Counters + histograms as a flat metrics registry: every
-  /// TDMD_ENGINE_STATS_COUNTERS counter as `tdmd_engine_<name>`, the
-  /// current mode as `tdmd_engine_mode`, and the four latency histograms.
+  /// TDMD_ENGINE_STATS_COUNTERS counter as `tdmd_engine_<name>` and the
+  /// four latency histograms.
   /// Counters, histograms and the quality timeline are captured under one
   /// state_mu_ acquisition, so cross-metric invariants (e.g. epochs ==
   /// patch-histogram count) hold within a single exposition.
@@ -355,8 +331,8 @@ class Engine {
   EngineMemoryStats MemoryUsage() const
       TDMD_EXCLUDES(state_mu_, snapshot_mu_);
 
-  /// Current degradation mode.
-  EngineMode mode() const TDMD_EXCLUDES(state_mu_);
+  /// True while the failure streak keeps re-solves down to probes.
+  bool backing_off() const TDMD_EXCLUDES(state_mu_);
 
   /// Copy of the quality timeline: the epoch ring (oldest first), the
   /// alert log and the detector state.  Empty when quality_sampling is
@@ -417,7 +393,7 @@ class Engine {
   /// Captures the complete client-visible state: flow set with exact
   /// tickets (and the free-slot stack, so post-restore arrivals draw the
   /// same tickets), deployment, maintained objective, epoch, snapshot
-  /// version, mode and counters.  No re-solve is ever in flight between
+  /// version and counters (the failure streak among them).  No re-solve is ever in flight between
   /// client calls, so the checkpoint is the whole engine state.
   EngineCheckpoint Checkpoint() const TDMD_EXCLUDES(state_mu_);
 
@@ -444,22 +420,21 @@ class Engine {
       TDMD_REQUIRES(state_mu_);
 
   /// Classifies one finished attempt into its terminal bucket, applies
-  /// adoption / failure-streak / mode effects, and returns true when the
+  /// adoption and failure-streak effects, and returns true when the
   /// attempt should be retried.
   bool HandleResolveOutcomeLocked(const IncrementalGtpResult& result,
                                   bool threw, std::size_t attempt)
       TDMD_REQUIRES(state_mu_);
 
-  void RecordResolveFailureLocked() TDMD_REQUIRES(state_mu_);
-  void RecordResolveSuccessLocked() TDMD_REQUIRES(state_mu_);
-  void TransitionLocked(EngineMode target) TDMD_REQUIRES(state_mu_);
+  bool BackingOffLocked() const TDMD_REQUIRES(state_mu_) {
+    return stats_.consecutive_failures >= kBackoffAfterFailures;
+  }
 
   /// Re-solves against the live index for the current epoch, retrying
   /// abnormal attempts back to back up to max_resolve_retries.
   void ResolveLocked() TDMD_REQUIRES(state_mu_);
 
-  /// EngineStats copy with the derived fields (index delta ops, mode,
-  /// failure streak) filled in.
+  /// EngineStats copy with the index's delta-op count filled in.
   EngineStats StatsLocked() const TDMD_REQUIRES(state_mu_);
 
   /// True when the accumulated churn (or a budget retarget) calls for a
@@ -505,8 +480,7 @@ class Engine {
   /// MonotonicNanos() adoption time (0 otherwise); feeds
   /// BatchResult::adopted_ns.
   std::uint64_t last_adoption_ns_ TDMD_GUARDED_BY(state_mu_) = 0;
-  EngineMode mode_ TDMD_GUARDED_BY(state_mu_) = EngineMode::kNormal;
-  std::uint64_t consecutive_failures_ TDMD_GUARDED_BY(state_mu_) = 0;
+  /// Backoff epochs since the last probe re-solve.
   std::uint64_t epochs_since_probe_ TDMD_GUARDED_BY(state_mu_) = 0;
   EngineStats stats_ TDMD_GUARDED_BY(state_mu_);
   EngineHistograms histograms_ TDMD_GUARDED_BY(state_mu_);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -142,11 +143,9 @@ void WriteEngineCheckpoint(std::ostream& os,
 void WriteEngineCheckpoint(std::ostream& os,
                            const engine::EngineCheckpoint& checkpoint,
                            const EngineCheckpointWriteOptions& options) {
-  os << "engine-checkpoint v1\n";
+  os << "engine-checkpoint v2\n";
   os << "epoch " << checkpoint.epoch << '\n';
   os << "snapshot-version " << checkpoint.snapshot_version << '\n';
-  os << "mode " << engine::EngineModeName(checkpoint.mode) << '\n';
-  os << "consecutive-failures " << checkpoint.consecutive_failures << '\n';
   os << "epochs-since-probe " << checkpoint.epochs_since_probe << '\n';
   os << "pending-churn " << checkpoint.pending_churn << '\n';
   os << "k " << checkpoint.k << '\n';
@@ -169,8 +168,8 @@ void WriteEngineCheckpoint(std::ostream& os,
   for (engine::FlowTicket t : checkpoint.uncovered) {
     os << "ticket " << t << '\n';
   }
-  // One line per flow with its class's path spelled out: the v1 record
-  // predates class keying, and readers regroup the lines into classes.
+  // One line per flow with its class's path spelled out; readers regroup
+  // the lines into classes.
   const engine::ClassKeyedFlows& flows = checkpoint.flows;
   os << "flows " << flows.records.size() << '\n';
   for (const engine::ClassKeyedFlows::Record& record : flows.records) {
@@ -208,7 +207,7 @@ void WriteEngineCheckpoint(std::ostream& os,
       os << "qv " << attr.vertex << ' ' << std::hexfloat
          << attr.marginal_decrement << std::defaultfloat << '\n';
     };
-    os << "quality v1\n";
+    os << "quality v2\n";
     os << "qbound " << (checkpoint.quality_tracker.cert_valid ? 1 : 0)
        << ' ' << std::hexfloat << checkpoint.quality_tracker.cert_bound
        << std::defaultfloat << '\n';
@@ -227,8 +226,8 @@ void WriteEngineCheckpoint(std::ostream& os,
        << q.alerts_cleared_total << '\n';
     os << "qsamples " << q.samples.size() << '\n';
     for (const obs::QualitySample& s : q.samples) {
-      os << "qsample " << s.epoch << ' ' << s.version << ' ' << s.mode
-         << ' ' << (s.feasible ? 1 : 0) << ' ' << s.deployed << ' '
+      os << "qsample " << s.epoch << ' ' << s.version << ' '
+         << (s.feasible ? 1 : 0) << ' ' << s.deployed << ' '
          << s.budget << ' ' << s.churn_moves << ' '
          << s.epochs_since_adoption << ' ' << (s.certified ? 1 : 0) << ' '
          << std::hexfloat << s.bandwidth << ' ' << s.unprocessed << ' '
@@ -556,6 +555,17 @@ bool ReadKeyedDouble(LineReader& reader, std::vector<std::string>& tokens,
   return true;
 }
 
+/// Counters that v1 records carried and v2 retired, with their 0-based
+/// positions in the v1 counter block; the v1 reader checks and drops them.
+struct RetiredCounter {
+  std::size_t position;
+  const char* name;
+};
+constexpr RetiredCounter kRetiredV1Counters[] = {
+    {12, "resolves_cancelled"}, {17, "resolves_coalesced"},
+    {18, "watchdog_cancels"},   {19, "mode_transitions"},
+    {20, "degraded_epochs"}};
+
 /// Non-negative ticket from `<keyword> <t>` lines.
 bool ParseTicket(const std::string& token, engine::FlowTicket& out) {
   std::int64_t value = 0;
@@ -629,39 +639,36 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
   std::vector<std::string> tokens;
 
   if (!reader.Next(tokens) || tokens.size() != 2 ||
-      tokens[0] != "engine-checkpoint" || tokens[1] != "v1") {
+      tokens[0] != "engine-checkpoint" ||
+      (tokens[1] != "v1" && tokens[1] != "v2")) {
     result.error = AtLine(reader.line_number(),
-                          "expected header 'engine-checkpoint v1'");
+                          "expected header 'engine-checkpoint v2' (or v1)");
     return result;
   }
+  const std::string version = tokens[1];
+  const bool v1 = version == "v1";
   if (!ReadKeyedU64(reader, tokens, "epoch", cp.epoch, result.error) ||
       !ReadKeyedU64(reader, tokens, "snapshot-version", cp.snapshot_version,
                     result.error)) {
     return result;
   }
-  if (!reader.Next(tokens) || tokens.size() != 2 || tokens[0] != "mode") {
-    result.error = AtLine(reader.line_number(),
-                          "expected 'mode <normal|degraded|patch-only>'");
-    return result;
-  }
-  bool mode_matched = false;
-  for (engine::EngineMode m :
-       {engine::EngineMode::kNormal, engine::EngineMode::kDegraded,
-        engine::EngineMode::kPatchOnly}) {
-    if (tokens[1] == engine::EngineModeName(m)) {
-      cp.mode = m;
-      mode_matched = true;
-      break;
+  // v1 only: the retired mode line, then the failure-streak line that
+  // restored the streak in v1 (it wins over its counter below).
+  std::uint64_t v1_streak = 0;
+  if (v1) {
+    if (!reader.Next(tokens) || tokens.size() != 2 || tokens[0] != "mode" ||
+        (tokens[1] != "normal" && tokens[1] != "degraded" &&
+         tokens[1] != "patch-only")) {
+      result.error = AtLine(reader.line_number(),
+                            "expected 'mode <normal|degraded|patch-only>'");
+      return result;
+    }
+    if (!ReadKeyedU64(reader, tokens, "consecutive-failures", v1_streak,
+                      result.error)) {
+      return result;
     }
   }
-  if (!mode_matched) {
-    result.error = AtLine(reader.line_number(),
-                          "unknown engine mode '" + tokens[1] + "'");
-    return result;
-  }
-  if (!ReadKeyedU64(reader, tokens, "consecutive-failures",
-                    cp.consecutive_failures, result.error) ||
-      !ReadKeyedU64(reader, tokens, "epochs-since-probe",
+  if (!ReadKeyedU64(reader, tokens, "epochs-since-probe",
                     cp.epochs_since_probe, result.error) ||
       !ReadKeyedU64(reader, tokens, "pending-churn", cp.pending_churn,
                     result.error) ||
@@ -699,15 +706,28 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
   }
   cp.maintained_feasible = feasible == 1;
 
-#define TDMD_READ_COUNTER(field)                                     \
-  if (!ReadCounterLine(reader, tokens, #field, cp.stats.field,       \
-                       result.error)) {                              \
-    return result;                                                   \
-  }
+  // A v1 block interleaves the retired counters; they are read in place
+  // and dropped.
+  std::size_t counter_line = 0;
+  const RetiredCounter* retired = std::begin(kRetiredV1Counters);
+  const auto read_counter = [&](const char* name, std::uint64_t& out) {
+    for (; v1 && retired != std::end(kRetiredV1Counters) &&
+           retired->position == counter_line;
+         ++retired, ++counter_line) {
+      std::uint64_t dropped = 0;
+      if (!ReadCounterLine(reader, tokens, retired->name, dropped,
+                           result.error)) {
+        return false;
+      }
+    }
+    ++counter_line;
+    return ReadCounterLine(reader, tokens, name, out, result.error);
+  };
+#define TDMD_READ_COUNTER(field) \
+  if (!read_counter(#field, cp.stats.field)) return result;
   TDMD_ENGINE_STATS_COUNTERS(TDMD_READ_COUNTER)
 #undef TDMD_READ_COUNTER
-  // The mode rides in the dedicated `mode` record, not the counter block.
-  cp.stats.mode = cp.mode;
+  if (v1) cp.stats.consecutive_failures = v1_streak;
 
   std::uint64_t count = 0;
   if (!ReadKeyedU64(reader, tokens, "deployment", count, result.error)) {
@@ -835,9 +855,10 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
   if (!tokens.empty() && tokens[0] == "quality") {
     // Optional quality-observability section (absent from records of
     // engines without quality sampling or written before the section
-    // existed).
-    if (tokens.size() != 2 || tokens[1] != "v1") {
-      result.error = AtLine(reader.line_number(), "expected 'quality v1'");
+    // existed); its version follows the record's.
+    if (tokens.size() != 2 || tokens[1] != version) {
+      result.error =
+          AtLine(reader.line_number(), "expected 'quality " + version + "'");
       return result;
     }
     cp.has_quality = true;
@@ -920,24 +941,31 @@ Parsed<engine::EngineCheckpoint> ReadEngineCheckpoint(std::istream& is,
       std::uint64_t s_moves = 0;
       std::uint64_t s_certified = 0;
       std::uint64_t s_nattr = 0;
-      if (!reader.Next(tokens) || tokens.size() != 14 ||
-          tokens[0] != "qsample" || !ParseU64(tokens[1], s.epoch) ||
-          !ParseU64(tokens[2], s.version) || !ParseU64(tokens[3], s.mode) ||
-          s.mode > 2 || !ParseU64(tokens[4], s_feasible) ||
-          s_feasible > 1 || !ParseU64(tokens[5], s_deployed) ||
+      bool read = reader.Next(tokens);
+      if (read && v1) {
+        // A v1 sample carries a retired mode token (0..2) after its
+        // version.
+        std::uint64_t mode = 0;
+        read = tokens.size() == 14 && ParseU64(tokens[3], mode) && mode <= 2;
+        if (read) tokens.erase(tokens.begin() + 3);
+      }
+      if (!read || tokens.size() != 13 || tokens[0] != "qsample" ||
+          !ParseU64(tokens[1], s.epoch) || !ParseU64(tokens[2], s.version) ||
+          !ParseU64(tokens[3], s_feasible) || s_feasible > 1 ||
+          !ParseU64(tokens[4], s_deployed) ||
           s_deployed > static_cast<std::uint64_t>(num_vertices) ||
-          !ParseU64(tokens[6], s_budget) ||
+          !ParseU64(tokens[5], s_budget) ||
           s_budget > std::numeric_limits<std::uint32_t>::max() ||
-          !ParseU64(tokens[7], s_moves) ||
+          !ParseU64(tokens[6], s_moves) ||
           s_moves > std::numeric_limits<std::uint32_t>::max() ||
-          !ParseU64(tokens[8], s.epochs_since_adoption) ||
-          !ParseU64(tokens[9], s_certified) || s_certified > 1 ||
-          !ParseDouble(tokens[10], s.bandwidth) ||
+          !ParseU64(tokens[7], s.epochs_since_adoption) ||
+          !ParseU64(tokens[8], s_certified) || s_certified > 1 ||
+          !ParseDouble(tokens[9], s.bandwidth) ||
           !std::isfinite(s.bandwidth) ||
-          !ParseDouble(tokens[11], s.unprocessed) ||
+          !ParseDouble(tokens[10], s.unprocessed) ||
           !std::isfinite(s.unprocessed) ||
-          !ParseDouble(tokens[12], s.opt_bound) ||
-          !std::isfinite(s.opt_bound) || !ParseU64(tokens[13], s_nattr) ||
+          !ParseDouble(tokens[11], s.opt_bound) ||
+          !std::isfinite(s.opt_bound) || !ParseU64(tokens[12], s_nattr) ||
           s_nattr > static_cast<std::uint64_t>(num_vertices)) {
         result.error =
             AtLine(reader.line_number(), "malformed 'qsample' record");

@@ -24,11 +24,9 @@
 //
 // Engine checkpoints (DESIGN.md Section 9.4) serialize as:
 //
-//   engine-checkpoint v1
+//   engine-checkpoint v2
 //   epoch <u64>
 //   snapshot-version <u64>
-//   mode <normal|degraded|patch-only>
-//   consecutive-failures <u64>
 //   epochs-since-probe <u64>
 //   pending-churn <u64>
 //   k <u64>
@@ -51,7 +49,7 @@
 //   bucket <index> <count>            (repeated per histogram; names are
 //                                      patch, resolve, index-delta,
 //                                      greedy-round, in that order)
-//   quality v1                        (optional quality-observability
+//   quality v2                        (optional quality-observability
 //                                      section)
 //   qbound <0|1> <hexfloat>           (certificate valid flag + bound)
 //   qadoption-age <u64>
@@ -60,7 +58,7 @@
 //   qdetector <ewma-hexfloat> <primed 0|1> <cusum-hexfloat>
 //             <active-bits> <samples-total> <raised-total> <cleared-total>
 //   qsamples <count>
-//   qsample <epoch> <version> <mode> <feasible 0|1> <deployed> <budget>
+//   qsample <epoch> <version> <feasible 0|1> <deployed> <budget>
 //           <moves> <since-adoption> <certified 0|1> <bandwidth-hexfloat>
 //           <unprocessed-hexfloat> <bound-hexfloat> <num-attr>
 //   qv <vertex> <hexfloat>            (repeated num-attr times per sample;
@@ -71,6 +69,14 @@
 //          <threshold-hexfloat>
 //   end quality
 //   end engine-checkpoint
+//
+// The reader also restores `engine-checkpoint v1` records.  v1 carries,
+// and the reader checks and drops, what v2 retired: a `mode` line and a
+// `consecutive-failures` line after snapshot-version (the line, which
+// restored the failure streak in v1, wins over its counter), five more
+// counters (resolves_cancelled, resolves_coalesced, watchdog_cancels,
+// mode_transitions, degraded_epochs), and a mode token after each
+// qsample's version inside a `quality v1` section.
 //
 // Parsing is strict: unknown records, wrong counts, or malformed numbers
 // produce an error message with the line number instead of a partially

@@ -38,7 +38,6 @@ QualitySample QualityTracker::MakeSample(
   QualitySample sample;
   sample.epoch = inputs.epoch;
   sample.version = inputs.version;
-  sample.mode = inputs.mode;
   sample.feasible = inputs.feasible;
   sample.deployed = inputs.deployed;
   sample.budget = inputs.budget;

@@ -64,9 +64,6 @@ struct QualitySample {
   std::uint64_t epoch = 0;
   /// Snapshot version this sample was taken against.
   std::uint64_t version = 0;
-  /// engine::EngineMode at sampling time, as its underlying integer (obs
-  /// does not depend on the engine).
-  std::uint64_t mode = 0;
   bool feasible = true;
   /// True when opt_bound is backed by a CELF solve certificate (possibly
   /// arrival-inflated) rather than only the trivial serve-at-source bound.
@@ -100,7 +97,6 @@ struct QualityTrackerState {
 struct QualitySampleInputs {
   std::uint64_t epoch = 0;
   std::uint64_t version = 0;
-  std::uint64_t mode = 0;
   bool feasible = true;
   std::uint32_t deployed = 0;
   std::uint32_t budget = 0;

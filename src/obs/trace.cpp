@@ -45,8 +45,8 @@ const char* TracePhaseName(TracePhase phase) {
       return "resolve-attempt";
     case TracePhase::kAdoption:
       return "adoption";
-    case TracePhase::kModeTransition:
-      return "mode-transition";
+    case TracePhase::kBackoff:
+      return "backoff";
     case TracePhase::kCheckpoint:
       return "checkpoint";
     case TracePhase::kRestore:

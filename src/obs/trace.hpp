@@ -66,7 +66,7 @@ enum class TracePhase : std::uint8_t {
   kPatch,           // engine: synchronous feasibility patch (arg: boxes)
   kResolveAttempt,  // engine: one incremental-GTP solve (arg: attempt)
   kAdoption,        // engine: re-solve adoption instant (arg: moves)
-  kModeTransition,  // engine: degradation transition (arg: target mode)
+  kBackoff,         // engine: re-solve backoff edge (arg: 1 enter, 0 exit)
   kCheckpoint,      // engine: checkpoint capture
   kRestore,         // engine: checkpoint restore
   kPoolTaskQueued,  // thread pool: task enqueued

@@ -14,7 +14,7 @@
 //   entry <flow-id> <shard> <ticket>  (repeated; ascending by flow id)
 //   shard <i>                         (one per shard, ascending, each
 //                                      followed by an embedded
-//                                      `engine-checkpoint v1` block —
+//                                      `engine-checkpoint v2` block —
 //                                      byte-identical to what
 //                                      io::WriteEngineCheckpoint emits
 //                                      for that engine standalone)
@@ -22,7 +22,8 @@
 //
 // The embedded blocks are read back with io::ReadEngineCheckpoint's
 // embeddable (require_eof = false) overload, so the per-engine grammar
-// lives in exactly one place; a single-shard fleet file therefore
+// lives in exactly one place — files whose blocks are still
+// `engine-checkpoint v1` restore too — and a single-shard fleet file
 // degenerates to the plain engine format plus this thin header.
 #pragma once
 

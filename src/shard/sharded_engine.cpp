@@ -83,7 +83,9 @@ ShardedEngine::ShardedEngine(graph::Digraph network,
     }
     worker->base_options = options_.engine;
     worker->base_options.k = shard_budget_[s];
-    worker->base_options.fault_injector = worker->injector.get();
+    if (worker->injector != nullptr) {
+      worker->base_options.fault_injector = worker->injector.get();
+    }
     worker->engine =
         std::make_unique<engine::Engine>(network_, worker->base_options);
     workers_.push_back(std::move(worker));
@@ -225,6 +227,8 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
       for (std::size_t i = 0; i < result.tickets.size(); ++i) {
         worker.tickets.Insert(command.arrival_ids[i], result.tickets[i]);
       }
+      worker.engine_backing_off.store(result.backing_off,
+                                      std::memory_order_relaxed);
       if (command.batch_id != 0 && command.route_ns != 0) {
         // Stage clocks share MonotonicNanos' origin, so the differences
         // below are exact; the guards only defend against an engine that
@@ -275,6 +279,8 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
       worker.engine.reset();
       worker.engine = std::make_unique<engine::Engine>(network_, opts);
       worker.engine->Restore(payload.checkpoint);
+      worker.engine_backing_off.store(worker.engine->backing_off(),
+                                      std::memory_order_relaxed);
       worker.base_options.k = opts.k;
       worker.tickets = std::move(payload.tickets);
       // Revival: a restore is exactly how quarantine ends.
@@ -646,6 +652,11 @@ void ShardedEngine::Supervise() {
     } else {
       worker.stall_flagged = false;
     }
+    // A shard serving on patches while its re-solves keep failing is up
+    // but degraded; it clears with its first clean probe.
+    if (worker.engine_backing_off.load(std::memory_order_relaxed)) {
+      any_unhealthy = true;
+    }
   }
   SetFleetState(any_unhealthy ? FleetState::kShardDegraded
                               : FleetState::kNormal);
@@ -785,6 +796,9 @@ FleetSnapshot ShardedEngine::Snapshot() {
   snapshot.shards.reserve(workers_.size());
 
   traffic::FlowSet all_flows;
+  // A quarantined shard's flows live in no engine, so the fleet cannot
+  // vouch that they are served.
+  bool every_shard_live = true;
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     if (workers_[s]->engine == nullptr) {
       // Still quarantined: report the hole instead of dereferencing it.
@@ -793,7 +807,7 @@ FleetSnapshot ShardedEngine::Snapshot() {
       status.quarantined = true;
       status.redo_ring = options_.supervise ? guards_[s].ring.size() : 0;
       snapshot.cert_valid = false;
-      snapshot.feasible = false;
+      every_shard_live = false;
       snapshot.shards.push_back(std::move(status));
       continue;
     }
@@ -802,15 +816,15 @@ FleetSnapshot ShardedEngine::Snapshot() {
     const engine::Engine& eng = *workers_[s]->engine;
     const std::shared_ptr<const engine::DeploymentSnapshot> shard_snap =
         eng.CurrentSnapshot();
-    const engine::EngineStats stats = eng.stats();
 
     ShardStatus status;
     status.budget = shard_budget_[s];
     status.boxes = shard_snap->deployment.size();
     status.bandwidth = shard_snap->bandwidth;
     status.feasible = shard_snap->feasible;
-    status.mode = stats.mode;
-    status.epochs = stats.epochs;
+    status.backing_off =
+        workers_[s]->engine_backing_off.load(std::memory_order_relaxed);
+    status.epochs = eng.stats().epochs;
     status.active_flows = eng.index().active_flows();
     status.queue_occupancy = workers_[s]->queue.ApproxSize();
     status.redo_ring = options_.supervise ? guards_[s].ring.size() : 0;
@@ -822,10 +836,6 @@ FleetSnapshot ShardedEngine::Snapshot() {
     status.cert_bound = fresh_certs[s];
     snapshot.cert_valid = snapshot.cert_valid && status.cert_valid;
     snapshot.cert_bound += status.cert_bound;
-    if (static_cast<std::uint64_t>(status.mode) >
-        static_cast<std::uint64_t>(snapshot.mode)) {
-      snapshot.mode = status.mode;
-    }
 
     for (const VertexId v : shard_snap->deployment.vertices()) {
       if (!snapshot.deployment.Contains(v)) snapshot.deployment.Add(v);
@@ -847,7 +857,7 @@ FleetSnapshot ShardedEngine::Snapshot() {
   for (const VertexId v : snapshot.deployment.vertices()) {
     served.Deploy(v);
   }
-  snapshot.feasible = served.AllServed();
+  snapshot.feasible = every_shard_live && served.AllServed();
   return snapshot;
 }
 
@@ -901,10 +911,6 @@ obs::MetricsRegistry ShardedEngine::Metrics() {
                       "budget reallocations adopted past hysteresis");
   registry.AddCounter("tdmd_fleet_budget_moves", stats_.budget_moves,
                       "middlebox budget units moved between shards");
-  registry.AddCounter(
-      "tdmd_fleet_mode", static_cast<std::uint64_t>(snapshot.mode),
-      "worst degradation mode across shards (0 normal, 1 degraded, "
-      "2 patch-only)");
   registry.AddCounter("tdmd_fleet_boxes", snapshot.deployment.size(),
                       "distinct middleboxes deployed across the fleet");
   registry.AddCounter("tdmd_fleet_feasible", snapshot.feasible ? 1 : 0,
@@ -1076,9 +1082,6 @@ obs::MetricsRegistry ShardedEngine::Metrics() {
                         "flows owned by this shard");
     registry.AddCounter(prefix + "feasible", status.feasible ? 1 : 0,
                         "1 when this shard serves all of its flows");
-    registry.AddCounter(prefix + "mode",
-                        static_cast<std::uint64_t>(status.mode),
-                        "shard degradation mode");
     registry.AddGauge(prefix + "bandwidth", status.bandwidth,
                       "shard-local bandwidth over owned flows");
     registry.AddGauge(prefix + "cert_bound", status.cert_bound,
@@ -1133,12 +1136,16 @@ FleetMemoryStats ShardedEngine::MemoryUsageQuiesced() {
   return memory;
 }
 
-FleetCheckpoint ShardedEngine::Checkpoint() {
+std::optional<FleetCheckpoint> ShardedEngine::Checkpoint() {
   // Quiesce, then recover any quarantined shard: a crash materializes
   // only when the worker dequeues the poisoned command (possibly during
   // this very Drain), and a checkpoint must cover every shard's engine.
   Drain();
   Supervise();
+  for (const auto& worker : workers_) {
+    // Recovery re-crashed on this tick; the next tick retries it.
+    if (worker->engine == nullptr) return std::nullopt;
+  }
   FleetCheckpoint checkpoint;
   checkpoint.num_shards = workers_.size();
   checkpoint.method = partition_.method;
@@ -1150,10 +1157,6 @@ FleetCheckpoint ShardedEngine::Checkpoint() {
   checkpoint.flows.reserve(flow_owner_.size());
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     const Worker& worker = *workers_[s];
-    TDMD_CHECK_MSG(worker.engine != nullptr,
-                   "cannot checkpoint: shard "
-                       << s << " is quarantined and its recovery keeps "
-                       << "re-crashing");
     worker.tickets.ForEach([&](FlowId64 id, engine::FlowTicket ticket) {
       checkpoint.flows.push_back(FleetCheckpoint::FlowEntry{
           id, static_cast<std::uint32_t>(s), ticket});

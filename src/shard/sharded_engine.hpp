@@ -55,9 +55,12 @@
 // stall_timeout), quarantines it — routed commands are discarded but
 // recorded — and respawns the engine from the last good per-shard
 // checkpoint, replaying everything since from a bounded per-shard redo
-// ring.  A capture copies each engine's class-keyed checkpoint (one path
-// per live class, one fixed-size record per flow) and the worker's id
-// table as one vector, so it allocates per class, not per flow.  Replay
+// ring.  The supervisor is the fleet's only health state machine: an
+// engine that backs off its re-solves (engine.hpp) reports it through
+// its worker, and the supervisor counts that shard as degraded too.  A
+// capture copies each engine's class-keyed checkpoint (one path per live
+// class, one fixed-size record per flow) and the worker's id table as
+// one vector, so it allocates per class, not per flow.  Replay
 // correctness rests on engine determinism: an engine restored from a
 // checkpoint and fed the same command sequence draws the same tickets
 // and reaches byte-identical state.  Bounded queues add the overload
@@ -73,6 +76,7 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -106,8 +110,10 @@ struct ShardedEngineOptions {
   /// keeps at least one box).  Must be >= partition.num_shards.
   std::size_t total_budget = 8;
   /// Template for every per-shard engine.  `k` is overridden by the
-  /// fleet's budget split.  The fleet's parallelism axis is shards: each
-  /// engine re-solves inline on its worker thread.
+  /// fleet's budget split, and `fault_injector` (shared by every shard)
+  /// by each shard's own injector when inject_faults is set.  The fleet's
+  /// parallelism axis is shards: each engine re-solves inline on its
+  /// worker thread.
   engine::EngineOptions engine;
   /// Reallocate the budget split every this many epochs; 0 disables.
   std::uint64_t realloc_interval_epochs = 16;
@@ -164,8 +170,8 @@ struct ShardedEngineOptions {
 };
 
 /// Fleet health state machine: NORMAL -> SHARD_DEGRADED (a shard is
-/// crashed or stalled) -> RECOVERING (a quarantined shard is being
-/// respawned and replayed) -> NORMAL.
+/// crashed, stalled or backing off its re-solves) -> RECOVERING (a
+/// quarantined shard is being respawned and replayed) -> NORMAL.
 enum class FleetState : std::uint8_t {
   kNormal = 0,
   kShardDegraded = 1,
@@ -182,7 +188,8 @@ struct ShardStatus {
   /// exactly-once local account; these sum to the naive fleet total).
   Bandwidth bandwidth = 0.0;
   bool feasible = false;
-  engine::EngineMode mode = engine::EngineMode::kNormal;
+  /// The engine is backing off its re-solves (a long failure streak).
+  bool backing_off = false;
   std::uint64_t epochs = 0;
   std::size_t active_flows = 0;
   bool cert_valid = false;
@@ -213,9 +220,6 @@ struct FleetSnapshot {
   /// covers every deployment of at most k_s boxes against its flows).
   bool cert_valid = false;
   double cert_bound = 0.0;
-  /// Worst (most degraded) mode across shards — the fleet DEGRADED
-  /// aggregation rule: the fleet is only as healthy as its sickest shard.
-  engine::EngineMode mode = engine::EngineMode::kNormal;
   /// Supervisor state machine (kNormal when supervision is off).
   FleetState state = FleetState::kNormal;
   std::vector<ShardStatus> shards;
@@ -361,8 +365,10 @@ class ShardedEngine {
   /// quarantined until the next supervision tick recovers it.
   void CrashShard(std::size_t shard);
 
-  /// Drains, then captures the complete fleet state.
-  FleetCheckpoint Checkpoint();
+  /// Drains and supervises, then captures the complete fleet state.
+  /// Empty when a shard stays quarantined (its recovery replay crashed
+  /// again on this tick): a fleet checkpoint must cover every shard.
+  std::optional<FleetCheckpoint> Checkpoint();
 
   /// Rebuilds this fleet from `checkpoint`.  Must be called on a freshly
   /// constructed fleet (no batches yet) whose network, shard count and
@@ -444,6 +450,10 @@ class ShardedEngine {
     /// steady_clock ns when the worker began its current command; 0 when
     /// idle.  The supervisor's stall detector compares against it.
     std::atomic<std::int64_t> busy_since_ns{0};
+    /// The engine's backoff flag after its last batch or restore, taken
+    /// from the batch result so the batch path takes no extra engine
+    /// lock; the supervisor counts a backing-off shard as degraded.
+    std::atomic<bool> engine_backing_off{false};
     /// Coordinator-side edge detector so one stall episode counts once.
     bool stall_flagged = false;
     /// Per-stage e2e latency histograms for batch commands (DESIGN.md

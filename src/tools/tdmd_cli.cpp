@@ -530,8 +530,19 @@ int ServeTraceSharded(const core::Instance& inst,
                               handles.size(), params.seed);
 
   const auto write_checkpoint = [&]() {
+    // Checkpoint() drains the fleet itself.
+    const std::optional<shard::FleetCheckpoint> checkpoint =
+        fleet.Checkpoint();
+    if (!checkpoint.has_value()) {
+      std::printf("checkpoint : skipped at fleet epoch %llu, a quarantined "
+                  "shard's recovery crashed again; %s keeps the previous "
+                  "checkpoint\n",
+                  static_cast<unsigned long long>(fleet.stats().epochs),
+                  params.checkpoint_out.c_str());
+      return;
+    }
     if (!shard::WriteFleetCheckpointFile(params.checkpoint_out,
-                                         fleet.Checkpoint())) {
+                                         *checkpoint)) {
       Die("cannot write " + params.checkpoint_out);
     }
   };
@@ -562,7 +573,7 @@ int ServeTraceSharded(const core::Instance& inst,
     ++epochs_served;
     if (params.checkpoint_every > 0 &&
         epochs_served % params.checkpoint_every == 0) {
-      write_checkpoint();  // Checkpoint() drains the fleet itself
+      write_checkpoint();
     }
   }
   // Stop sampling at the end of the served epochs: the profile should
@@ -573,20 +584,20 @@ int ServeTraceSharded(const core::Instance& inst,
   const shard::FleetSnapshot snapshot = fleet.Snapshot();
   const shard::FleetStats& stats = fleet.stats();
   std::printf("\nshard  budget boxes flows  bandwidth    cert-bound  "
-              "feasible mode\n");
+              "feasible backoff\n");
   for (std::size_t s = 0; s < snapshot.shards.size(); ++s) {
     const shard::ShardStatus& st = snapshot.shards[s];
     std::printf("%5zu  %6zu %5zu %5zu %10.3f  %10.3f  %-8s %s\n", s,
                 st.budget, st.boxes, st.active_flows, st.bandwidth,
                 st.cert_bound, st.feasible ? "yes" : "NO",
-                engine::EngineModeName(st.mode));
+                st.backing_off ? "yes" : "no");
   }
   std::printf("fleet      : %zu boxes union, bandwidth %.3f, feasible %s, "
-              "cert %s %.3f, mode %s\n",
+              "cert %s %.3f\n",
               snapshot.deployment.size(), snapshot.bandwidth,
               snapshot.feasible ? "yes" : "NO",
               snapshot.cert_valid ? "valid" : "invalid",
-              snapshot.cert_bound, engine::EngineModeName(snapshot.mode));
+              snapshot.cert_bound);
   std::printf("routing    : %llu epochs, %llu commands, %llu shard-epochs "
               "skipped, %llu cross-shard flows\n",
               static_cast<unsigned long long>(stats.epochs),
@@ -693,7 +704,8 @@ int ServeTrace(int argc, char** argv) {
       "write an engine checkpoint every N epochs (0 disables)");
   const auto* checkpoint_out = parser.AddString(
       "checkpoint-out", "engine.ckpt",
-      "engine-checkpoint v1 file rewritten by --checkpoint-every");
+      "checkpoint file rewritten by --checkpoint-every (engine-checkpoint "
+      "v2; shardfleet v1 with --shards>1)");
   const auto* restore = parser.AddString(
       "restore", "",
       "restore the engine from this checkpoint instead of replaying the "
@@ -855,10 +867,12 @@ int ServeTrace(int argc, char** argv) {
     for (const engine::ClassKeyedFlows::Record& record : cp.flows.records) {
       handles.push_back(record.ticket);
     }
-    std::printf("restored %s: epoch %llu, %zu active flows, mode %s\n",
+    std::printf("restored %s: epoch %llu, %zu active flows, failure "
+                "streak %llu\n",
                 restore->c_str(),
                 static_cast<unsigned long long>(cp.epoch), handles.size(),
-                engine::EngineModeName(cp.mode));
+                static_cast<unsigned long long>(
+                    cp.stats.consecutive_failures));
   } else {
     // Epoch 1: the instance's own flow set arrives in one batch.
     traffic::FlowSet prefill;
@@ -943,11 +957,10 @@ int ServeTrace(int argc, char** argv) {
               static_cast<unsigned long long>(stats.gain_reevals),
               static_cast<unsigned long long>(stats.reevals_saved),
               static_cast<unsigned long long>(stats.snapshots_published));
-  std::printf("resilience : mode %s, %llu transitions, %llu degraded + "
+  std::printf("resilience : backoff %s, failure streak %llu, "
               "%llu patch-only epochs\n",
-              engine::EngineModeName(eng.mode()),
-              static_cast<unsigned long long>(stats.mode_transitions),
-              static_cast<unsigned long long>(stats.degraded_epochs),
+              eng.backing_off() ? "yes" : "no",
+              static_cast<unsigned long long>(stats.consecutive_failures),
               static_cast<unsigned long long>(stats.patch_only_epochs));
   std::printf("faults     : %llu index retries, %llu resolve failures, "
               "%llu timeouts, %llu retries, %llu expired adopted\n",

@@ -1,5 +1,5 @@
 // Fuzz-style corpus over the two checkpoint file grammars (`shardfleet
-// v1` and `engine-checkpoint v1`): truncation at every line boundary,
+// v1` and `engine-checkpoint v2`): truncation at every line boundary,
 // bit-flipped CRC trailers, duplicated sections re-wrapped with a valid
 // CRC (so the *parser*, not the checksum, must reject), and oversized
 // declared counts.  Every corrupt file must be rejected with a
@@ -92,7 +92,7 @@ std::string BuildFleetFile(const std::string& path) {
     active = fleet.SubmitBatch(epoch.arrivals, {}).flow_ids;
   }
   fleet.Drain();
-  EXPECT_TRUE(shard::WriteFleetCheckpointFile(path, fleet.Checkpoint()));
+  EXPECT_TRUE(shard::WriteFleetCheckpointFile(path, fleet.Checkpoint().value()));
   return Slurp(path);
 }
 

@@ -1,6 +1,7 @@
 // Checkpoint/restore (DESIGN.md Section 9.4): text round trip of the
-// `engine-checkpoint v1` record, byte-identical crash recovery, and
-// strict rejection of corrupted records.
+// `engine-checkpoint v2` record, byte-identical crash recovery, restore
+// of records in the retired v1 format, and strict rejection of
+// corrupted records.
 #include "engine/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include "checkpoint_compare.hpp"
 #include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
+#include "faults/faults.hpp"
 #include "io/text_format.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
+#include "v1_checkpoint_fixtures.hpp"
 
 namespace tdmd::engine {
 namespace {
@@ -86,7 +89,8 @@ TEST(EngineCheckpointTest, TextRoundTripIsByteExact) {
   EXPECT_EQ(Serialize(*parsed.value), text);
   EXPECT_EQ(parsed.value->maintained_bandwidth,
             checkpoint.maintained_bandwidth);
-  EXPECT_EQ(parsed.value->stats.mode, checkpoint.mode);
+  EXPECT_EQ(parsed.value->stats.consecutive_failures,
+            checkpoint.stats.consecutive_failures);
 }
 
 // The ISSUE acceptance test: run N epochs; separately run N/2 epochs,
@@ -374,7 +378,7 @@ TEST(EngineCheckpointTest, CorruptQualitySectionsAreRejected) {
   std::vector<FlowTicket> handles;
   ReplayRange(engine, trace, 0, trace.epochs.size(), handles);
   const std::string good = Serialize(engine.Checkpoint());
-  ASSERT_NE(good.find("quality v1"), std::string::npos);
+  ASSERT_NE(good.find("quality v2"), std::string::npos);
 
   const auto reject = [](const std::string& text, const std::string& what) {
     std::istringstream iss(text);
@@ -395,7 +399,8 @@ TEST(EngineCheckpointTest, CorruptQualitySectionsAreRejected) {
 
   // Each mutation prepends a corrupt line of the same record type, so the
   // strict reader trips on it regardless of the genuine line's values.
-  reject(mutate("quality v1", "quality v2"), "unknown section version");
+  reject(mutate("quality v2", "quality v3"), "unknown section version");
+  reject(mutate("quality v2", "quality v1"), "section older than record");
   reject(mutate("qbound ", "qbound 7 0x0p+0\nqbound "),
          "qbound flag out of range");
   reject(mutate("qbound ", "qbound 1 nan\nqbound "), "non-finite bound");
@@ -406,20 +411,20 @@ TEST(EngineCheckpointTest, CorruptQualitySectionsAreRejected) {
   reject(mutate("qalerts ", "qalerts 1\nqalert 9 1 1 0x0p+0 0x0p+0\nqalerts "),
          "alert kind out of range");
   reject(good.substr(0, good.find("end quality")), "missing terminator");
-  // The first qsample's mode field (token 3) forced out of range.
+  // The first qsample's feasible flag (token 3) forced out of range.
   const std::size_t sample_at = good.find("qsample ");
   ASSERT_NE(sample_at, std::string::npos);
-  // qsample <epoch> <version> <mode> ... — patch the third number to 9.
-  // (Spliced with substr: std::string::replace here trips GCC 12's
+  // qsample <epoch> <version> <feasible> ... — patch the third number to
+  // 9.  (Spliced with substr: std::string::replace here trips GCC 12's
   // -Wrestrict false positive at -O2.)
   std::size_t field = sample_at + std::string("qsample ").size();
   for (int skip = 0; skip < 2; ++skip) {
     field = good.find(' ', field) + 1;
   }
   const std::size_t field_end = good.find(' ', field);
-  const std::string bad_mode =
+  const std::string bad_feasible =
       good.substr(0, field) + "9" + good.substr(field_end);
-  reject(bad_mode, "mode out of range");
+  reject(bad_feasible, "feasible flag out of range");
 }
 
 TEST(EngineCheckpointTest, CorruptRecordsAreRejectedWithLineNumbers) {
@@ -440,10 +445,11 @@ TEST(EngineCheckpointTest, CorruptRecordsAreRejectedWithLineNumbers) {
 
   // Truncation: drop the terminator (and anything after the flows line).
   reject(good.substr(0, good.find("end engine-checkpoint")));
-  // Unknown mode.
-  std::string bad_mode = good;
-  bad_mode.replace(bad_mode.find("mode "), 11, "mode panicked");
-  reject(bad_mode);
+  // Misspelled key: key/order binding is strict.
+  std::string bad_key = good;
+  bad_key.replace(bad_key.find("epochs-since-probe"), 18,
+                  "epochs-since-prove");
+  reject(bad_key);
   // Counter renamed: order/name binding is strict.
   std::string bad_counter = good;
   bad_counter.replace(bad_counter.find("counter epochs"), 14,
@@ -451,8 +457,8 @@ TEST(EngineCheckpointTest, CorruptRecordsAreRejectedWithLineNumbers) {
   reject(bad_counter);
   // Trailing garbage after the terminator.
   reject(good + "counter epochs 1\n");
-  // Header typo.
-  reject("engine-checkpoint v2\n" +
+  // Unknown version.
+  reject("engine-checkpoint v3\n" +
          good.substr(good.find('\n') + 1));
 }
 
@@ -468,11 +474,9 @@ TEST(EngineCheckpointTest, RejectsOutOfRangeValues) {
   // A minimal well-formed prefix helper.
   const auto record = [](const std::string& lambda,
                          const std::string& tail) {
-    std::string text = "engine-checkpoint v1\n"
+    std::string text = "engine-checkpoint v2\n"
                        "epoch 1\n"
                        "snapshot-version 2\n"
-                       "mode normal\n"
-                       "consecutive-failures 0\n"
                        "epochs-since-probe 0\n"
                        "pending-churn 0\n"
                        "k 3\n";
@@ -486,6 +490,76 @@ TEST(EngineCheckpointTest, RejectsOutOfRangeValues) {
   reject(record("0.5", "num-vertices 99999999999\n"),
          "num-vertices overflowing VertexId");
   reject(record("0.5", "num-vertices -4\n"), "negative num-vertices");
+}
+
+// A record in the retired v1 format, as the v1 writer emitted it,
+// restores to the same state as the v2 record of the same run, and
+// replaying the rest of the trace from either is byte-identical.  The
+// fixture carries everything v2 retired: the mode line, the duplicate
+// failure-streak line, five retired counters and qsample mode tokens.
+TEST(EngineCheckpointTest, RestoresV1Record) {
+  const graph::Digraph network = TestNetwork(91, 12);
+  const ChurnTrace trace = MakeTrace(network, 8, 92);
+  const std::size_t half = 4;
+
+  // The fixture's run: re-solves fail under injected throws until the
+  // engine backs off.
+  faults::FaultSpec spec;
+  spec.seed = 93;
+  spec.at(faults::FaultSite::kGreedyRound).throw_probability = 0.7;
+  faults::FaultInjector injector(spec);
+  EngineOptions faulted = SyncOptions();
+  faulted.fault_injector = &injector;
+  Engine live(network, faulted);
+  std::vector<FlowTicket> handles;
+  ReplayRange(live, trace, 0, half, handles);
+  ASSERT_TRUE(live.backing_off());
+  const EngineCheckpoint v2 = live.Checkpoint();
+
+  std::istringstream iss(test::kEngineCheckpointV1);
+  const io::Parsed<EngineCheckpoint> v1 = io::ReadEngineCheckpoint(iss);
+  ASSERT_TRUE(v1.ok()) << v1.error;
+  EXPECT_EQ(v1.value->stats.consecutive_failures, kBackoffAfterFailures);
+  EXPECT_EQ(SerializeDeterministic(*v1.value), SerializeDeterministic(v2));
+
+  // Both resume without the injector, so the next probe completes.
+  Engine from_v1(network, SyncOptions());
+  from_v1.Restore(*v1.value);
+  Engine from_v2(network, SyncOptions());
+  from_v2.Restore(v2);
+  EXPECT_TRUE(from_v1.backing_off());
+  std::vector<FlowTicket> handles_v1 = handles;
+  ReplayRange(from_v1, trace, half, trace.epochs.size(), handles_v1);
+  ReplayRange(from_v2, trace, half, trace.epochs.size(), handles);
+  EXPECT_FALSE(from_v1.backing_off());
+  EXPECT_EQ(SerializeDeterministic(from_v1.Checkpoint()),
+            SerializeDeterministic(from_v2.Checkpoint()));
+  EXPECT_EQ(handles_v1, handles);
+  EXPECT_EQ(from_v1.CurrentSnapshot()->version,
+            from_v2.CurrentSnapshot()->version);
+
+  // The v1 reader is as strict as v2's about what v1 carried.
+  const std::string good = test::kEngineCheckpointV1;
+  const auto reject = [](const std::string& text, const std::string& what) {
+    std::istringstream is(text);
+    EXPECT_FALSE(io::ReadEngineCheckpoint(is).ok()) << what;
+  };
+  const auto mutate = [&good](const std::string& from,
+                              const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    return text;
+  };
+  reject(mutate("mode patch-only", "mode panicked"), "unknown mode");
+  reject(mutate("counter watchdog_cancels", "counter watchdog_cancel"),
+         "retired counter misnamed");
+  reject(mutate("qsample 2 3 2 ", "qsample 2 3 9 "),
+         "qsample mode token out of range");
+  reject(mutate("quality v1", "quality v2"), "section newer than record");
+  reject(mutate("engine-checkpoint v1", "engine-checkpoint v2"),
+         "v1 body under a v2 header");
 }
 
 }  // namespace

@@ -177,10 +177,10 @@ TEST(EngineFaultTest, DeadlineExpiredPrefixIsAdopted) {
   EXPECT_TRUE(snapshot->deployment.Contains(5));
 }
 
-// Persistent solver failures walk the state machine down to PATCH_ONLY;
-// the synchronous patch keeps every coverable flow served throughout; and
-// once the fault burst ends, a probe re-solve brings the engine back to
-// NORMAL within the probe interval (ISSUE acceptance: degradation round
+// Persistent solver failures build a failure streak that backs the
+// engine off its re-solves; the synchronous patch keeps every coverable
+// flow served throughout; and once the fault burst ends, a probe re-solve
+// ends the backoff within the probe interval (the degradation round
 // trip).
 TEST(EngineFaultTest, DegradationRoundTrip) {
   faults::FaultSpec spec;
@@ -192,9 +192,6 @@ TEST(EngineFaultTest, DegradationRoundTrip) {
   options.k = 5;
   options.fault_injector = &injector;
   options.max_resolve_retries = 1;
-  options.degrade_after_failures = 1;
-  options.patch_only_after_failures = 2;
-  options.probe_interval_epochs = 2;
   Engine engine(TestNetwork(43), options);
 
   const ChurnTrace trace = MakeTrace(engine.index().network(), 4, 53);
@@ -207,20 +204,21 @@ TEST(EngineFaultTest, DegradationRoundTrip) {
     // Degraded or not, the patch keeps the published plan feasible.
     EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
   }
-  EXPECT_EQ(engine.mode(), EngineMode::kPatchOnly);
-  EXPECT_GT(engine.stats().resolve_failures, 0u);
+  EXPECT_TRUE(engine.backing_off());
+  // Two attempts per epoch until the streak reaches the threshold, then
+  // no retries: the backoff stops the retry storm.
+  EXPECT_EQ(engine.stats().resolve_failures, kBackoffAfterFailures);
   EXPECT_GT(engine.stats().patch_only_epochs, 0u);
 
-  // Fault burst ends; within probe_interval_epochs clean epochs a probe
-  // re-solve completes and the machine recovers.
+  // Fault burst ends; within kProbeIntervalEpochs clean epochs a probe
+  // re-solve completes and the backoff ends.
   injector.Disarm();
-  for (std::uint64_t i = 0; i < options.probe_interval_epochs; ++i) {
+  for (std::uint64_t i = 0; i < kProbeIntervalEpochs; ++i) {
     engine.SubmitBatch({}, {});
     EXPECT_TRUE(engine.CurrentSnapshot()->feasible);
   }
-  EXPECT_EQ(engine.mode(), EngineMode::kNormal);
+  EXPECT_FALSE(engine.backing_off());
   const EngineStats stats = engine.stats();
-  EXPECT_GE(stats.mode_transitions, 3u);  // down (x2) and back up
   EXPECT_EQ(stats.consecutive_failures, 0u);
   EXPECT_GT(stats.resolves_completed, 0u);
 }
@@ -245,7 +243,7 @@ TEST(EngineFaultTest, ResolveAccountingBalancesUnderFaults) {
   Replay(engine, trace, handles);
 
   const EngineStats stats = engine.stats();
-  // PATCH_ONLY epochs skip re-solves, so started can be below the epoch
+  // Backoff epochs skip re-solves, so started can be below the epoch
   // count; what must hold is that every started attempt landed in exactly
   // one terminal bucket.
   EXPECT_GT(stats.resolves_started, 0u);
@@ -278,7 +276,7 @@ TEST(EngineFaultTest, DisarmedInjectorChangesNothing) {
   EXPECT_EQ(stats.resolve_failures, 0u);
   EXPECT_EQ(stats.index_fault_retries, 0u);
   EXPECT_EQ(stats.resolves_started, stats.resolves_completed);
-  EXPECT_EQ(engine.mode(), EngineMode::kNormal);
+  EXPECT_FALSE(engine.backing_off());
   EXPECT_TRUE(injector.Events().empty());
 }
 

@@ -152,11 +152,11 @@ TEST(EngineQualityTest, CertificateCoversOptimumOnTreeInstances) {
   }
 }
 
-// Deterministic regression drill (ISSUE acceptance): every re-solve
-// throws, the engine degrades into PATCH_ONLY serving whole-line flows at
-// the path tail (zero realized decrement), and the quality-gap CUSUM must
-// fire within a bounded number of epochs.  Disarming the injector lets
-// the next probe re-solve adopt a real placement, and the alert clears.
+// Deterministic regression drill: every re-solve throws, the engine backs
+// off and serves on patches alone, whole-line flows at the path tail
+// (zero realized decrement), and the quality-gap CUSUM must fire within a
+// bounded number of epochs.  Disarming the injector lets the next probe
+// re-solve adopt a real placement, and the alert clears.
 TEST(EngineQualityTest, CusumFiresInPatchOnlyAndClearsOnRecovery) {
   const VertexId n = 10;
   const graph::Digraph network = DescendingLineNetwork(n);
@@ -170,10 +170,8 @@ TEST(EngineQualityTest, CusumFiresInPatchOnlyAndClearsOnRecovery) {
   options.k = 3;
   options.lambda = 0.5;
   options.fault_injector = &injector;
-  options.max_resolve_retries = 0;
-  options.degrade_after_failures = 1;
-  options.patch_only_after_failures = 2;
-  options.probe_interval_epochs = 2;
+  // The first epoch's attempts alone reach the backoff.
+  options.max_resolve_retries = kBackoffAfterFailures - 1;
   Engine engine(network, options);
 
   std::uint64_t raised_epoch = 0;
@@ -186,9 +184,9 @@ TEST(EngineQualityTest, CusumFiresInPatchOnlyAndClearsOnRecovery) {
       raised_epoch = e;
     }
   }
-  ASSERT_GT(raised_epoch, 0u) << "CUSUM never fired under PATCH_ONLY";
+  ASSERT_GT(raised_epoch, 0u) << "CUSUM never fired in backoff";
   EXPECT_LE(raised_epoch, 5u);  // ~2 epochs below floor - slack suffice
-  EXPECT_EQ(engine.mode(), EngineMode::kPatchOnly);
+  EXPECT_TRUE(engine.backing_off());
   const obs::QualitySample degraded =
       engine.QualityTimeline().samples.back();
   EXPECT_LT(degraded.realized_ratio, obs::kQualityRatioFloor);
@@ -205,7 +203,7 @@ TEST(EngineQualityTest, CusumFiresInPatchOnlyAndClearsOnRecovery) {
     }
   }
   ASSERT_GT(cleared_epoch, 0u) << "CUSUM never cleared after recovery";
-  EXPECT_EQ(engine.mode(), EngineMode::kNormal);
+  EXPECT_FALSE(engine.backing_off());
   const obs::QualityTimelineSnapshot timeline = engine.QualityTimeline();
   EXPECT_GE(timeline.alerts_raised_total, 1u);
   EXPECT_GE(timeline.alerts_cleared_total, 1u);

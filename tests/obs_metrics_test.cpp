@@ -91,7 +91,6 @@ TEST(ObsMetricsTest, EngineMetricsExposeEveryCounterAndHistogram) {
       << #name;
   TDMD_ENGINE_STATS_COUNTERS(TDMD_EXPECT_COUNTER)
 #undef TDMD_EXPECT_COUNTER
-  EXPECT_NE(json.find("\"tdmd_engine_mode\": "), std::string::npos);
 
   for (const char* histogram : {"tdmd_engine_patch_latency",
                                 "tdmd_engine_resolve_latency",

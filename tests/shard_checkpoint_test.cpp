@@ -1,8 +1,9 @@
 // Fleet checkpoint round-trips (DESIGN.md Section 13.4): the
 // `shardfleet v1` container is byte-stable, a restored fleet resumes
 // mid-churn with the same published placements as the uninterrupted run,
-// and a single-shard fleet embeds a block byte-identical to the plain
-// engine's `engine-checkpoint v1`.
+// a file whose blocks are still `engine-checkpoint v1` restores like the
+// current one, and a single-shard fleet embeds a block byte-identical to
+// the plain engine's `engine-checkpoint v2`.
 //
 // Snapshot() runs a certificate-refresh round that advances the quality
 // trackers, so these tests only call Snapshot() at points that are
@@ -25,6 +26,7 @@
 #include "shard/sharded_engine.hpp"
 #include "test_util.hpp"
 #include "topology/generators.hpp"
+#include "v1_checkpoint_fixtures.hpp"
 
 namespace tdmd::shard {
 namespace {
@@ -86,7 +88,7 @@ TEST(ShardCheckpointTest, WriteReadWriteIsByteIdentical) {
   std::vector<FlowId64> handles;
   ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
 
-  const FleetCheckpoint cp = fleet.Checkpoint();
+  const FleetCheckpoint cp = fleet.Checkpoint().value();
   const std::string first = Serialize(cp);
 
   std::istringstream is(first);
@@ -106,6 +108,37 @@ TEST(ShardCheckpointTest, WriteReadWriteIsByteIdentical) {
   }
 }
 
+// A `shardfleet v1` file embedding `engine-checkpoint v1` blocks, as the
+// v1 writers emitted it, restores to the state of the current file of the
+// same run, and the restored fleet replays the rest of the trace exactly
+// like the uninterrupted fleet.
+TEST(ShardCheckpointTest, RestoresV1FleetFile) {
+  const graph::Digraph g = TestNetwork(94, 16);
+  const engine::ChurnTrace trace = MakeTrace(g, 8, 95);
+  const ShardedEngineOptions options = FleetOptions(2, 4);
+  const std::size_t half = 4;
+
+  ShardedEngine uninterrupted(g, options);
+  std::vector<FlowId64> handles;
+  ReplayFleet(uninterrupted, trace, 0, half, handles);
+  const FleetCheckpoint current = uninterrupted.Checkpoint().value();
+  std::vector<FlowId64> resumed_handles = handles;
+  ReplayFleet(uninterrupted, trace, half, trace.epochs.size(), handles);
+
+  std::istringstream is(test::kFleetCheckpointV1);
+  const io::Parsed<FleetCheckpoint> v1 = ReadFleetCheckpoint(is);
+  ASSERT_TRUE(v1.ok()) << v1.error;
+  EXPECT_EQ(SerializeDeterministic(*v1.value),
+            SerializeDeterministic(current));
+
+  ShardedEngine resumed(g, options);
+  resumed.Restore(*v1.value);
+  ReplayFleet(resumed, trace, half, trace.epochs.size(), resumed_handles);
+  EXPECT_EQ(resumed_handles, handles);
+  EXPECT_EQ(SerializeDeterministic(resumed.Checkpoint().value()),
+            SerializeDeterministic(uninterrupted.Checkpoint().value()));
+}
+
 TEST(ShardCheckpointTest, ResumesMidChurnWithSamePlacements) {
   const graph::Digraph g = TestNetwork(73);
   const engine::ChurnTrace trace = MakeTrace(g, 12, 5);
@@ -120,7 +153,7 @@ TEST(ShardCheckpointTest, ResumesMidChurnWithSamePlacements) {
   ShardedEngine first_half(g, options);
   std::vector<FlowId64> handles_b;
   ReplayFleet(first_half, trace, 0, 6, handles_b);
-  const FleetCheckpoint cp = first_half.Checkpoint();
+  const FleetCheckpoint cp = first_half.Checkpoint().value();
 
   // ...and resume it in a fresh fleet built with the identical options
   // (the checkpoint carries no partition seeds; the spec must match).
@@ -153,13 +186,13 @@ TEST(ShardCheckpointTest, ResumesMidChurnWithSamePlacements) {
     EXPECT_NEAR(snap_c.shards[s].bandwidth, snap_a.shards[s].bandwidth, 1e-9);
   }
   // No departure was routed to a stale ticket on the resumed side.
-  const FleetCheckpoint final_c = resumed.Checkpoint();
+  const FleetCheckpoint final_c = resumed.Checkpoint().value();
   for (const engine::EngineCheckpoint& ecp : final_c.engines) {
     EXPECT_EQ(ecp.stats.stale_departures, 0u);
   }
   // Both runs end in the same serialized engine state, byte for byte
   // (modulo the wall-clock latency histograms).
-  const FleetCheckpoint final_a = uninterrupted.Checkpoint();
+  const FleetCheckpoint final_a = uninterrupted.Checkpoint().value();
   EXPECT_EQ(SerializeDeterministic(final_c), SerializeDeterministic(final_a));
 }
 
@@ -171,7 +204,7 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
   ShardedEngine fleet(g, options);
   std::vector<FlowId64> fleet_handles;
   ReplayFleet(fleet, trace, 0, trace.epochs.size(), fleet_handles);
-  const FleetCheckpoint cp = fleet.Checkpoint();
+  const FleetCheckpoint cp = fleet.Checkpoint().value();
   ASSERT_EQ(cp.engines.size(), 1u);
 
   // The same trace on a plain engine with the fleet's effective options.
@@ -190,14 +223,14 @@ TEST(ShardCheckpointTest, SingleShardEmbedsPlainEngineCheckpoint) {
                           result.tickets.end());
   }
 
-  // The embedded block degenerates to the plain `engine-checkpoint v1`
+  // The embedded block degenerates to the plain `engine-checkpoint v2`
   // (histograms excluded: the two runs' timing samples differ).
   const std::string embedded = SerializeDeterministic(cp.engines[0]);
   EXPECT_EQ(embedded, SerializeDeterministic(eng.Checkpoint()));
 
   const std::string fleet_text = SerializeDeterministic(cp);
   EXPECT_NE(fleet_text.find("shardfleet v1"), std::string::npos);
-  EXPECT_NE(fleet_text.find("engine-checkpoint v1"), std::string::npos);
+  EXPECT_NE(fleet_text.find("engine-checkpoint v2"), std::string::npos);
   EXPECT_NE(fleet_text.find(embedded), std::string::npos);
 }
 
@@ -207,7 +240,7 @@ TEST(ShardCheckpointTest, FileRoundTripMatchesStreamForm) {
   ShardedEngine fleet(g, FleetOptions(2, 6));
   std::vector<FlowId64> handles;
   ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
-  const FleetCheckpoint cp = fleet.Checkpoint();
+  const FleetCheckpoint cp = fleet.Checkpoint().value();
 
   const std::string path =
       ::testing::TempDir() + "/tdmd_fleet_checkpoint_test.txt";
@@ -223,7 +256,7 @@ TEST(ShardCheckpointTest, RejectsCorruptInput) {
   ShardedEngine fleet(g, FleetOptions(2, 6));
   std::vector<FlowId64> handles;
   ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
-  const std::string good = Serialize(fleet.Checkpoint());
+  const std::string good = Serialize(fleet.Checkpoint().value());
 
   {
     // Wrong container header.

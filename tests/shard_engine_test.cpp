@@ -1,12 +1,11 @@
 // ShardedEngine coordinator behavior: exactly-once flow accounting across
 // shards, single-shard parity with the plain engine, budget reallocation,
-// degraded-mode aggregation and the merged metrics exposition
+// backoff health aggregation and the merged metrics exposition
 // (DESIGN.md Section 13).
 #include "shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -111,7 +110,7 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
   }
   EXPECT_EQ(snapshot_flows, live.size());
 
-  const FleetCheckpoint cp = fleet.Checkpoint();
+  const FleetCheckpoint cp = fleet.Checkpoint().value();
   ASSERT_EQ(cp.flows.size(), live.size());
 
   // Every live flow appears in the routing table exactly once (ids
@@ -290,31 +289,27 @@ TEST(ShardEngineTest, FleetModeIsWorstShardMode) {
 
   ShardedEngineOptions options = FleetOptions(2, 6);
   // Every re-solve throws on every shard: each engine that sees traffic
-  // walks NORMAL -> DEGRADED -> PATCH_ONLY while the synchronous patch
-  // keeps coverage feasible.
+  // backs off while the synchronous patch keeps coverage feasible.  The
+  // fleet's health is its supervisor's state, which is only as good as
+  // its sickest shard.
   options.inject_faults = true;
   options.fault_spec.seed = 71;
   options.fault_spec.at(faults::FaultSite::kGreedyRound).throw_probability =
       1.0;
   options.engine.max_resolve_retries = 1;
-  options.engine.degrade_after_failures = 1;
-  options.engine.patch_only_after_failures = 2;
-  options.engine.probe_interval_epochs = 64;
+  options.supervise = true;
   ShardedEngine fleet(g, options);
 
   std::vector<FlowId64> handles;
   ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
 
   const FleetSnapshot snapshot = fleet.Snapshot();
-  engine::EngineMode worst = engine::EngineMode::kNormal;
-  bool any_degraded = false;
+  bool any_backing_off = false;
   for (const ShardStatus& shard : snapshot.shards) {
-    worst = std::max(worst, shard.mode);
-    any_degraded = any_degraded || shard.mode != engine::EngineMode::kNormal;
+    any_backing_off = any_backing_off || shard.backing_off;
   }
-  EXPECT_TRUE(any_degraded);
-  EXPECT_EQ(snapshot.mode, worst);
-  EXPECT_NE(snapshot.mode, engine::EngineMode::kNormal);
+  EXPECT_TRUE(any_backing_off);
+  EXPECT_EQ(snapshot.state, FleetState::kShardDegraded);
   // Feasibility survives: the patch path does not go through the solver.
   EXPECT_TRUE(snapshot.feasible);
 }
@@ -333,7 +328,7 @@ TEST(ShardEngineTest, MetricsExposeFleetAndPerShardSeries) {
        {"tdmd_fleet_num_shards 2", "tdmd_fleet_epochs", "tdmd_fleet_bandwidth",
         "tdmd_fleet_cert_bound", "tdmd_fleet_cross_shard_flows",
         "tdmd_shard0_budget", "tdmd_shard0_active_flows",
-        "tdmd_shard1_bandwidth", "tdmd_shard1_mode"}) {
+        "tdmd_shard1_bandwidth", "tdmd_shard1_consecutive_failures"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
 }

@@ -1,8 +1,9 @@
 // Fleet supervision (DESIGN.md Section 14): a shard crashed mid-churn is
 // quarantined, respawned from its recovery checkpoint and redo-replayed
 // to the *exact* state of an uninterrupted run (deterministic-replay
-// guarantee, checked byte-for-byte); stalls surface as SHARD_DEGRADED
-// and clear; the supervisor checkpoint cadence bounds replay work.
+// guarantee, checked byte-for-byte); stalls and re-solve backoff surface
+// as SHARD_DEGRADED and clear; a shard that cannot be recovered fails a
+// checkpoint; the supervisor checkpoint cadence bounds replay work.
 //
 // Detection timing note: a crash command only materializes when the
 // worker dequeues it, which on a saturated (or single-core) host may not
@@ -94,7 +95,7 @@ std::string RunWithCrash(const graph::Digraph& g,
     }
     SubmitEpoch(fleet, trace, e, handles);
   }
-  const FleetCheckpoint cp = fleet.Checkpoint();  // drains + supervises
+  const FleetCheckpoint cp = fleet.Checkpoint().value();  // drains + supervises
   EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
   EXPECT_EQ(cp.flows.size(),
             test::LiveHandles(handles, trace.epochs).size());
@@ -160,7 +161,7 @@ TEST(ShardSupervisorTest, RepeatedCrashesOfTheSameShardRecover) {
       fleet.Supervise();
     }
   }
-  const std::string crashed = SerializeDeterministic(fleet.Checkpoint());
+  const std::string crashed = SerializeDeterministic(fleet.Checkpoint().value());
   EXPECT_EQ(fleet.stats().crashes_detected, 2u);
   EXPECT_EQ(fleet.stats().recoveries_completed, 2u);
   EXPECT_EQ(crashed, uninterrupted);
@@ -197,7 +198,7 @@ TEST(ShardSupervisorTest, InjectedWorkerFaultRecoversLikeCrashShard) {
     fleet.Drain();
     fleet.Supervise();
   }
-  const FleetCheckpoint cp = fleet.Checkpoint();
+  const FleetCheckpoint cp = fleet.Checkpoint().value();
   EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
   EXPECT_GE(fleet.stats().crashes_detected, 1u);
   EXPECT_GE(fleet.stats().recoveries_completed, 1u);
@@ -247,6 +248,80 @@ TEST(ShardSupervisorTest, StallSurfacesAsDegradedThenClears) {
   // Epoch 0 of a trace drawn from no live flows departs nothing.
   EXPECT_EQ(snapshot.shards[0].active_flows + snapshot.shards[1].active_flows,
             handles.size());
+}
+
+// The supervisor is the fleet's only health state machine: a shard whose
+// engine backs off its re-solves counts as SHARD_DEGRADED, and the fleet
+// is NORMAL again once that shard's probe re-solve completes.
+TEST(ShardSupervisorTest, BackoffDegradesFleetUntilProbeCompletes) {
+  const graph::Digraph g = TestNetwork(103, 20);
+  const engine::ChurnTrace trace = MakeTrace(g, 40, 29);
+  faults::FaultSpec spec;
+  spec.seed = 5;
+  spec.at(faults::FaultSite::kGreedyRound).throw_probability = 1.0;
+  faults::FaultInjector injector(spec);
+  ShardedEngineOptions options = SupervisedOptions(2, 4);
+  options.engine.fault_injector = &injector;  // shared by both shards
+
+  ShardedEngine fleet(g, options);
+  std::vector<FlowId64> handles;
+  // One epoch's retries exhaust the streak on every shard it touches.
+  SubmitEpoch(fleet, trace, 0, handles);
+  fleet.Drain();
+  fleet.Supervise();
+  EXPECT_EQ(fleet.fleet_state(), FleetState::kShardDegraded);
+  const FleetSnapshot degraded = fleet.Snapshot();
+  bool any_backing_off = false;
+  for (const ShardStatus& shard : degraded.shards) {
+    any_backing_off = any_backing_off || shard.backing_off;
+  }
+  EXPECT_TRUE(any_backing_off);
+  EXPECT_TRUE(degraded.feasible);  // serving never waits on the solver
+
+  injector.Disarm();
+  for (std::size_t e = 1;
+       e < trace.epochs.size() && fleet.fleet_state() != FleetState::kNormal;
+       ++e) {
+    SubmitEpoch(fleet, trace, e, handles);
+    fleet.Drain();
+    fleet.Supervise();
+  }
+  EXPECT_EQ(fleet.fleet_state(), FleetState::kNormal);
+  for (const ShardStatus& shard : fleet.Snapshot().shards) {
+    EXPECT_FALSE(shard.backing_off);
+  }
+  EXPECT_EQ(fleet.stats().crashes_detected, 0u);
+}
+
+// Every batch aborts its worker, so every recovery replays a batch that
+// crashes the shard again.  A checkpoint cannot cover that shard, and
+// Checkpoint() says so instead of stopping the process; a snapshot
+// reports the shard's hole as infeasible.
+TEST(ShardSupervisorTest, CheckpointFailsWhileRecoveryKeepsCrashing) {
+  const graph::Digraph g = TestNetwork(105, 20);
+  const engine::ChurnTrace trace = MakeTrace(g, 1, 31);
+  ShardedEngineOptions options = SupervisedOptions(2, 4);
+  options.inject_faults = true;
+  options.fault_spec.seed = 9;
+  options.fault_spec.at(faults::FaultSite::kShardWorker).throw_probability =
+      1.0;
+
+  ShardedEngine fleet(g, options);
+  std::vector<FlowId64> handles;
+  SubmitEpoch(fleet, trace, 0, handles);
+  EXPECT_FALSE(fleet.Checkpoint().has_value());
+  EXPECT_GE(fleet.stats().crashes_detected, 1u);
+  EXPECT_EQ(fleet.stats().recoveries_completed, 0u);
+  const FleetSnapshot snapshot = fleet.Snapshot();
+  bool any_quarantined = false;
+  for (const ShardStatus& shard : snapshot.shards) {
+    any_quarantined = any_quarantined || shard.quarantined;
+  }
+  EXPECT_TRUE(any_quarantined);
+  // No engine serves a quarantined shard's flows: the fleet is not
+  // feasible, however well the live shards do.
+  EXPECT_FALSE(snapshot.feasible);
+  EXPECT_FALSE(snapshot.cert_valid);
 }
 
 TEST(ShardSupervisorTest, CheckpointCadenceBoundsReplay) {
