@@ -43,8 +43,6 @@ const char* FleetStateName(FleetState state) {
       return "NORMAL";
     case FleetState::kShardDegraded:
       return "SHARD_DEGRADED";
-    case FleetState::kRecovering:
-      return "RECOVERING";
   }
   return "unknown";
 }
@@ -172,8 +170,7 @@ void ShardedEngine::WorkerLoop(Worker& worker) {
 }
 
 void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
-  if (worker.crashed.load(std::memory_order_relaxed) &&
-      command.kind != Command::Kind::kRestore) {
+  if (worker.crashed.load(std::memory_order_relaxed)) {
     // Quarantined: the engine is gone.  Discard the command (the redo
     // ring holds the mutating ones for replay) but satisfy round outputs
     // with neutral values so coordinator rounds stay well-defined.
@@ -184,7 +181,7 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
   switch (command.kind) {
     case Command::Kind::kBatch: {
       const std::uint64_t dequeue_ns = obs::MonotonicNanos();
-      if (command.batch_id != 0 && command.route_ns != 0) {
+      if (command.batch_id != 0) {
         const std::uint64_t dwell =
             dequeue_ns > command.route_ns ? dequeue_ns - command.route_ns
                                           : 0;
@@ -207,29 +204,9 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
         worker.injector->MaybeInject(faults::FaultSite::kQueueDrain);
         worker.injector->MaybeInject(faults::FaultSite::kShardWorker);
       }
-      std::vector<engine::FlowTicket> departures;
-      departures.reserve(command.departure_ids.size());
-      for (FlowId64 id : command.departure_ids) {
-        engine::FlowTicket ticket = engine::kInvalidTicket;
-        // The coordinator routes a departure only to the recorded owner,
-        // so a miss means the routing table and worker map diverged.
-        const bool known = worker.tickets.Take(id, &ticket);
-        TDMD_CHECK_MSG(known, "departure for unknown fleet flow " << id);
-        departures.push_back(ticket);
-      }
-      engine::Engine::SubmitOptions submit;
-      submit.defer_resolve = command.shed;
-      submit.batch_id = command.batch_id;
-      const engine::Engine::BatchResult result = worker.engine->SubmitBatch(
-          command.arrivals ? *command.arrivals : kNoArrivals, departures,
-          submit);
-      TDMD_CHECK(result.tickets.size() == command.arrival_ids.size());
-      for (std::size_t i = 0; i < result.tickets.size(); ++i) {
-        worker.tickets.Insert(command.arrival_ids[i], result.tickets[i]);
-      }
-      worker.engine_backing_off.store(result.backing_off,
-                                      std::memory_order_relaxed);
-      if (command.batch_id != 0 && command.route_ns != 0) {
+      const engine::Engine::BatchResult result =
+          ApplyMutation(worker, command);
+      if (command.batch_id != 0) {
         // Stage clocks share MonotonicNanos' origin, so the differences
         // below are exact; the guards only defend against an engine that
         // reported no patch (an all-departures batch reports its publish
@@ -262,31 +239,8 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
       *command.cert_out = worker.engine->RefreshCertificate();
       break;
     case Command::Kind::kSetBudget:
-      worker.engine->SetBudget(command.budget);
-      worker.base_options.k = command.budget;
+      ApplyMutation(worker, command);
       break;
-    case Command::Kind::kRestore: {
-      Command::RestorePayload& payload = *command.restore;
-      // Engine::Restore cross-checks k against the engine's construction
-      // options, and the checkpointed split may differ from the initial
-      // even split — so rebuild the engine with the checkpointed budget.
-      engine::EngineOptions opts = worker.base_options;
-      opts.k = payload.checkpoint.k;
-      // The coordinator's network_ copy is immutable after construction,
-      // so reading it here is safe from the worker thread — and it is
-      // the only copy left when a crashed worker (engine == nullptr) is
-      // being revived.
-      worker.engine.reset();
-      worker.engine = std::make_unique<engine::Engine>(network_, opts);
-      worker.engine->Restore(payload.checkpoint);
-      worker.engine_backing_off.store(worker.engine->backing_off(),
-                                      std::memory_order_relaxed);
-      worker.base_options.k = opts.k;
-      worker.tickets = std::move(payload.tickets);
-      // Revival: a restore is exactly how quarantine ends.
-      worker.crashed.store(false, std::memory_order_release);
-      break;
-    }
     case Command::Kind::kCrash:
       // Deterministic crash drill: identical failure path to an injected
       // worker abort (caught in WorkerLoop, engine dropped, tombstoned).
@@ -296,32 +250,65 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
   }
 }
 
+engine::Engine::BatchResult ShardedEngine::ApplyMutation(
+    Worker& worker, const Command& command) {
+  if (command.kind == Command::Kind::kSetBudget) {
+    worker.engine->SetBudget(command.budget);
+    return {};
+  }
+  std::vector<engine::FlowTicket> departures;
+  departures.reserve(command.departure_ids.size());
+  for (FlowId64 id : command.departure_ids) {
+    engine::FlowTicket ticket = engine::kInvalidTicket;
+    // The coordinator routes a departure only to the recorded owner, so a
+    // miss means the routing table and worker map diverged.
+    const bool known = worker.tickets.Take(id, &ticket);
+    TDMD_CHECK_MSG(known, "departure for unknown fleet flow " << id);
+    departures.push_back(ticket);
+  }
+  engine::Engine::SubmitOptions submit;
+  submit.defer_resolve = command.shed;
+  submit.batch_id = command.batch_id;
+  engine::Engine::BatchResult result = worker.engine->SubmitBatch(
+      command.arrivals ? *command.arrivals : kNoArrivals, departures,
+      submit);
+  TDMD_CHECK(result.tickets.size() == command.arrival_ids.size());
+  for (std::size_t i = 0; i < result.tickets.size(); ++i) {
+    worker.tickets.Insert(command.arrival_ids[i], result.tickets[i]);
+  }
+  worker.engine_backing_off.store(result.backing_off,
+                                  std::memory_order_relaxed);
+  return result;
+}
+
+void ShardedEngine::InstallEngine(Worker& worker,
+                                  const engine::EngineCheckpoint& checkpoint,
+                                  IdTable<engine::FlowTicket> tickets) {
+  // Engine::Restore cross-checks k against the engine's construction
+  // options, and the checkpointed split may differ from the initial even
+  // split — so build the engine with the checkpointed budget.
+  engine::EngineOptions opts = worker.base_options;
+  opts.k = checkpoint.k;
+  worker.engine.reset();
+  worker.engine = std::make_unique<engine::Engine>(network_, opts);
+  worker.engine->Restore(checkpoint);
+  worker.engine_backing_off.store(worker.engine->backing_off(),
+                                  std::memory_order_relaxed);
+  worker.tickets = std::move(tickets);
+}
+
 void ShardedEngine::RouteCommand(std::size_t shard, Command command) {
-  if (options_.supervise && !replaying_ &&
-      (command.kind == Command::Kind::kBatch ||
-       command.kind == Command::Kind::kSetBudget)) {
+  if (options_.supervise && (command.kind == Command::Kind::kBatch ||
+                             command.kind == Command::Kind::kSetBudget)) {
     // Record every mutating command (including realloc kicks and shed
     // batches) before it leaves the coordinator: the redo ring must hold
     // exactly what was routed after the last capture, in order.
-    RedoEntry entry;
-    entry.kind = command.kind;
-    entry.epoch = command.epoch;
-    entry.shed = command.shed;
-    entry.arrivals = command.arrivals;
-    entry.arrival_ids = command.arrival_ids;
-    entry.departure_ids = command.departure_ids;
-    entry.budget = command.budget;
-    entry.batch_id = command.batch_id;
     ShardGuard& guard = guards_[shard];
-    guard.ring.push_back(std::move(entry));
+    guard.ring.push_back(command);
     if (guard.ring.size() > kRedoRingCapacity) capture_due_ = true;
   }
-  if (!replaying_) {
-    // Admission clock for the e2e stage latencies.  Replayed commands
-    // stay unstamped: their original run already recorded (or lost) its
-    // samples, and re-recording would double-count recovery work.
-    command.route_ns = obs::MonotonicNanos();
-  }
+  // Admission clock for the e2e stage latencies.
+  command.route_ns = obs::MonotonicNanos();
   {
     MutexLock lock(done_mu_);
     ++outstanding_;
@@ -428,7 +415,6 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
     }
     ++shards_touched;
     commands[s].kind = Command::Kind::kBatch;
-    commands[s].epoch = epoch_;
     commands[s].batch_id = batch_id;
     const std::size_t events =
         shard_arrivals[s].size() + commands[s].departure_ids.size();
@@ -609,16 +595,9 @@ void ShardedEngine::ReallocateBudgetsNow() {
   for (std::size_t s : changed) {
     Command kick;
     kick.kind = Command::Kind::kBatch;
-    kick.epoch = epoch_;
     RouteCommand(s, std::move(kick));
   }
   Drain();
-}
-
-void ShardedEngine::SetFleetState(FleetState state) {
-  if (state == fleet_state_) return;
-  fleet_state_ = state;
-  ++stats_.state_transitions;
 }
 
 void ShardedEngine::Supervise() {
@@ -629,8 +608,8 @@ void ShardedEngine::Supervise() {
     if (worker.crashed.load(std::memory_order_acquire)) {
       RecoverShard(s);
       if (worker.crashed.load(std::memory_order_acquire)) {
-        // Recovery itself hit a fault (the redo replay re-crashed the
-        // worker); stay quarantined and retry on the next tick.
+        // An engine fault escaped the redo replay; stay quarantined and
+        // retry on the next tick.
         any_unhealthy = true;
       }
       continue;
@@ -658,54 +637,44 @@ void ShardedEngine::Supervise() {
       any_unhealthy = true;
     }
   }
-  SetFleetState(any_unhealthy ? FleetState::kShardDegraded
-                              : FleetState::kNormal);
+  const FleetState state =
+      any_unhealthy ? FleetState::kShardDegraded : FleetState::kNormal;
+  if (state != fleet_state_) {
+    fleet_state_ = state;
+    ++stats_.state_transitions;
+  }
 }
 
 void ShardedEngine::RecoverShard(std::size_t shard) {
   Worker& worker = *workers_[shard];
   ++stats_.crashes_detected;
-  SetFleetState(FleetState::kShardDegraded);
   const std::int64_t start_ns = NowNs();
   // Quiesce: the tombstoned worker keeps completing (and discarding)
   // whatever is still queued, so this cannot hang on the dead shard.
+  // From here the coordinator is the shard's client thread (rule 3).
   Drain();
-  SetFleetState(FleetState::kRecovering);
 
-  // Respawn from the last good checkpoint...
-  ShardGuard& guard = guards_[shard];
-  Command restore;
-  restore.kind = Command::Kind::kRestore;
-  restore.restore = std::make_shared<Command::RestorePayload>();
-  restore.restore->checkpoint = guard.checkpoint;
-  restore.restore->tickets = guard.tickets;
-  RouteCommand(shard, std::move(restore));
-
-  // ...then replay everything routed since, in original order.  The
-  // entries stay in the ring (replay must not consume them: if the
-  // replay itself crashes, the next recovery attempt needs them again);
-  // they are pruned by the next capture.
-  replaying_ = true;
-  for (const RedoEntry& entry : guard.ring) {
-    Command command;
-    command.kind = entry.kind;
-    command.epoch = entry.epoch;
-    command.shed = entry.shed;
-    command.arrivals = entry.arrivals;
-    command.arrival_ids = entry.arrival_ids;
-    command.departure_ids = entry.departure_ids;
-    command.budget = entry.budget;
-    // Rebind replayed engine work to the original batch id (never mint a
-    // fresh one): the merged trace shows the recovery re-solves hanging
-    // off the batches that first carried the churn.
-    command.batch_id = entry.batch_id;
-    RouteCommand(shard, std::move(command));
-    ++stats_.redo_replayed;
+  // Rebuild from the last good checkpoint, then replay everything routed
+  // since, in original order and under the recorded batch ids, through
+  // the worker's own mutation path — but not through its queue, so no
+  // replayed batch visits the worker-abort fault site again.  The ring
+  // is not consumed: a failed attempt leaves it whole for the next tick,
+  // and the next capture prunes it.
+  const ShardGuard& guard = guards_[shard];
+  try {
+    InstallEngine(worker, guard.checkpoint, guard.tickets);
+    for (const Command& command : guard.ring) {
+      ++stats_.redo_replayed;
+      ApplyMutation(worker, command);
+    }
+  } catch (const faults::FaultInjectedError&) {
+    // An engine fault site escaped mid-replay: the engine may be torn,
+    // so drop it and stay quarantined.
+    worker.engine.reset();
+    worker.tickets.Clear();
+    return;
   }
-  replaying_ = false;
-  Drain();
-
-  if (worker.crashed.load(std::memory_order_acquire)) return;  // re-crashed
+  worker.crashed.store(false, std::memory_order_release);
   obs::TraceInstant(obs::TracePhase::kShardRecovery, shard);
   stats_.last_recovery_ns = static_cast<std::uint64_t>(NowNs() - start_ns);
   ++stats_.recoveries_completed;
@@ -715,7 +684,6 @@ void ShardedEngine::RecoverShard(std::size_t shard) {
   // belongs back in the merge.  Cadence-independent but respects the
   // realloc-disabled configuration.
   if (options_.realloc_interval_epochs != 0) ReallocateBudgetsNow();
-  SetFleetState(FleetState::kNormal);
 }
 
 void ShardedEngine::MaybeCaptureCheckpoints() {
@@ -757,7 +725,6 @@ void ShardedEngine::CrashShard(std::size_t shard) {
   TDMD_CHECK_MSG(shard < workers_.size(), "CrashShard: no such shard");
   Command crash;
   crash.kind = Command::Kind::kCrash;
-  crash.epoch = epoch_;
   RouteCommand(shard, std::move(crash));
 }
 
@@ -777,8 +744,8 @@ FleetSnapshot ShardedEngine::Snapshot() {
   // shard workers) replaces the inflated bounds with exact ones.
   std::vector<Bandwidth> fresh_certs(workers_.size(), 0.0);
   for (std::size_t s = 0; s < workers_.size(); ++s) {
-    // A persistently failing shard (recovery re-crashed on this tick) has
-    // no engine to certify; its status below reports crashed = true.
+    // A persistently failing shard (its recovery faulted on this tick)
+    // has no engine to certify; its status below reports it quarantined.
     if (workers_[s]->engine == nullptr) continue;
     if (workers_[s]->engine->index().active_flows() == 0) continue;
     Command certify;
@@ -926,8 +893,7 @@ obs::MetricsRegistry ShardedEngine::Metrics() {
   // --- survivability (DESIGN.md Section 14) ---------------------------
   registry.AddCounter(
       "tdmd_fleet_state", static_cast<std::uint64_t>(snapshot.state),
-      "supervisor state machine (0 NORMAL, 1 SHARD_DEGRADED, "
-      "2 RECOVERING)");
+      "supervisor state after its last tick (0 NORMAL, 1 SHARD_DEGRADED)");
   registry.AddCounter("tdmd_fleet_state_transitions",
                       stats_.state_transitions,
                       "fleet state machine edges");
@@ -1120,8 +1086,8 @@ FleetMemoryStats ShardedEngine::MemoryUsageQuiesced() {
     memory.active_flows += engine_memory.active_flows;
   }
   for (const ShardGuard& guard : guards_) {
-    for (const RedoEntry& entry : guard.ring) {
-      memory.redo_ring_bytes += sizeof(RedoEntry);
+    for (const Command& entry : guard.ring) {
+      memory.redo_ring_bytes += sizeof(Command);
       for (const traffic::Flow& flow :
            entry.arrivals ? *entry.arrivals : kNoArrivals) {
         memory.redo_ring_bytes +=
@@ -1143,7 +1109,7 @@ std::optional<FleetCheckpoint> ShardedEngine::Checkpoint() {
   Drain();
   Supervise();
   for (const auto& worker : workers_) {
-    // Recovery re-crashed on this tick; the next tick retries it.
+    // Recovery faulted on this tick; the next tick retries it.
     if (worker->engine == nullptr) return std::nullopt;
   }
   FleetCheckpoint checkpoint;
@@ -1172,7 +1138,8 @@ std::optional<FleetCheckpoint> ShardedEngine::Checkpoint() {
 }
 
 void ShardedEngine::Restore(const FleetCheckpoint& checkpoint) {
-  TDMD_CHECK_MSG(epoch_ == 0 && next_flow_id_ == 0 && flow_owner_.empty(),
+  TDMD_CHECK_MSG(epoch_ == 0 && next_flow_id_ == 0 && flow_owner_.empty() &&
+                     stats_.commands_routed == 0,
                  "Restore requires a freshly constructed fleet");
   const std::size_t n = workers_.size();
   TDMD_CHECK_MSG(checkpoint.num_shards == n,
@@ -1199,24 +1166,18 @@ void ShardedEngine::Restore(const FleetCheckpoint& checkpoint) {
   next_flow_id_ = checkpoint.next_flow_id;
   shard_budget_ = checkpoint.budgets;
 
-  std::vector<std::shared_ptr<Command::RestorePayload>> payloads(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    payloads[s] = std::make_shared<Command::RestorePayload>();
-    payloads[s]->checkpoint = checkpoint.engines[s];
-  }
+  std::vector<IdTable<engine::FlowTicket>> tickets(n);
   for (const FleetCheckpoint::FlowEntry& entry : checkpoint.flows) {
     TDMD_CHECK_MSG(entry.shard < n, "flow entry names an unknown shard");
     const bool inserted = flow_owner_.Insert(entry.id, entry.shard);
     TDMD_CHECK_MSG(inserted, "duplicate fleet flow id in checkpoint");
-    payloads[entry.shard]->tickets.Insert(entry.id, entry.ticket);
+    tickets[entry.shard].Insert(entry.id, entry.ticket);
   }
+  // No command has been routed yet, so the coordinator is every engine's
+  // client thread (rule 3) and installs the restored engines itself.
   for (std::size_t s = 0; s < n; ++s) {
-    Command restore;
-    restore.kind = Command::Kind::kRestore;
-    restore.restore = std::move(payloads[s]);
-    RouteCommand(s, std::move(restore));
+    InstallEngine(*workers_[s], checkpoint.engines[s], std::move(tickets[s]));
   }
-  Drain();
   // Re-seed the recovery guards from the restored state so a crash right
   // after Restore replays from this checkpoint, not the empty fleet.
   if (options_.supervise) CaptureCheckpoints();

@@ -43,8 +43,9 @@
 //   3. Quiesced handoff: after Drain() (and until the next command is
 //      routed) the coordinator is the engines' client thread — it may
 //      call client-thread-only Engine methods (index(), Checkpoint())
-//      directly.  Rule 2 is what makes this sound; Snapshot/Metrics/
-//      Checkpoint all drain first.
+//      directly, and it builds, restores and replays shard engines itself
+//      (Restore, recovery).  Rule 2 is what makes this sound; Snapshot/
+//      Metrics/Checkpoint and recovery all drain first.
 // Like Engine, all ShardedEngine methods are single-client-thread.
 //
 // Survivability (DESIGN.md Section 14).  With supervise on, the
@@ -53,11 +54,13 @@
 // Metrics), detects a crashed shard (its worker caught a fault, dropped
 // its engine, and tombstoned itself) or a stalled one (busy past
 // stall_timeout), quarantines it — routed commands are discarded but
-// recorded — and respawns the engine from the last good per-shard
-// checkpoint, replaying everything since from a bounded per-shard redo
-// ring.  The supervisor is the fleet's only health state machine: an
-// engine that backs off its re-solves (engine.hpp) reports it through
-// its worker, and the supervisor counts that shard as degraded too.  A
+// recorded — and recovers it on the coordinator: the engine is rebuilt
+// from the last good per-shard checkpoint and everything since is
+// replayed from a bounded per-shard redo ring by direct engine calls, so
+// replay never revisits the worker-abort fault site.  The supervisor is
+// the fleet's only health state machine: an engine that backs off its
+// re-solves (engine.hpp) reports it through its worker, and the
+// supervisor counts that shard as degraded too.  A
 // capture copies each engine's class-keyed checkpoint (one path per live
 // class, one fixed-size record per flow) and the worker's id table as
 // one vector, so it allocates per class, not per flow.  Replay
@@ -169,13 +172,13 @@ struct ShardedEngineOptions {
   obs::RateCusumOptions e2e_alert;
 };
 
-/// Fleet health state machine: NORMAL -> SHARD_DEGRADED (a shard is
-/// crashed, stalled or backing off its re-solves) -> RECOVERING (a
-/// quarantined shard is being respawned and replayed) -> NORMAL.
+/// Fleet health after a supervision tick: SHARD_DEGRADED while a shard is
+/// quarantined (its recovery faulted), stalled or backing off its
+/// re-solves, NORMAL otherwise.  The tick that detects a crash also
+/// recovers it, so a recovered crash never shows as SHARD_DEGRADED.
 enum class FleetState : std::uint8_t {
   kNormal = 0,
   kShardDegraded = 1,
-  kRecovering = 2,
 };
 
 const char* FleetStateName(FleetState state);
@@ -257,7 +260,7 @@ struct FleetStats {
   std::uint64_t redo_replayed = 0;
   /// Per-shard recovery checkpoints captured by the supervisor.
   std::uint64_t supervisor_checkpoints = 0;
-  /// Fleet state machine edges (NORMAL/SHARD_DEGRADED/RECOVERING).
+  /// Fleet state edges (NORMAL <-> SHARD_DEGRADED).
   std::uint64_t state_transitions = 0;
   /// Wall-clock nanoseconds of the most recent completed recovery.
   std::uint64_t last_recovery_ns = 0;
@@ -366,14 +369,14 @@ class ShardedEngine {
   void CrashShard(std::size_t shard);
 
   /// Drains and supervises, then captures the complete fleet state.
-  /// Empty when a shard stays quarantined (its recovery replay crashed
-  /// again on this tick): a fleet checkpoint must cover every shard.
+  /// Empty when a shard stays quarantined (its recovery replay faulted
+  /// on this tick): a fleet checkpoint must cover every shard.
   std::optional<FleetCheckpoint> Checkpoint();
 
   /// Rebuilds this fleet from `checkpoint`.  Must be called on a freshly
-  /// constructed fleet (no batches yet) whose network, shard count and
-  /// partition spec match the checkpointed ones.  Worker engines are
-  /// reconstructed with their checkpointed budgets (the split may differ
+  /// constructed fleet (no command routed yet) whose network, shard count
+  /// and partition spec match the checkpointed ones.  Every shard's
+  /// engine is rebuilt with its checkpointed budget (the split may differ
   /// from the initial even split) and restored in place.
   void Restore(const FleetCheckpoint& checkpoint);
 
@@ -384,12 +387,10 @@ class ShardedEngine {
       kProbe,
       kCertify,
       kSetBudget,
-      kRestore,
       kCrash,
       kStop,
     };
     Kind kind = Kind::kBatch;
-    std::uint64_t epoch = 0;
     // kBatch.  The arrivals are shared with the shard's redo ring (null
     // when the batch has none), so recording a command copies no path.
     std::shared_ptr<const traffic::FlowSet> arrivals;
@@ -402,8 +403,10 @@ class ShardedEngine {
     /// Causal batch id (DESIGN.md Section 15): stamped at SubmitBatch,
     /// threaded through the engine's spans and the worker's queue-dwell
     /// span so a merged trace reconstructs one submit -> dequeue ->
-    /// patch -> adopt chain per batch.  0 for control commands (probe,
-    /// certify, budget, restore), which stay unbound.
+    /// patch -> adopt chain per batch.  Recovery replay keeps it, so the
+    /// replayed engine work stays bound to the original batch.  0 for
+    /// control commands (probe, certify, budget, kick), which stay
+    /// unbound.
     std::uint64_t batch_id = 0;
     /// MonotonicNanos at route time — the admission clock the worker
     /// subtracts to get queue dwell and the e2e stage latencies.
@@ -414,20 +417,15 @@ class ShardedEngine {
     std::size_t budget = 0;
     std::vector<Bandwidth>* probe_out = nullptr;
     Bandwidth* cert_out = nullptr;
-    // kRestore.
-    struct RestorePayload {
-      engine::EngineCheckpoint checkpoint;
-      IdTable<engine::FlowTicket> tickets;
-    };
-    std::shared_ptr<RestorePayload> restore;
   };
 
   struct Worker {
     std::size_t id = 0;
     /// Per-shard injector (seed = base + id); null when faults are off.
     std::unique_ptr<faults::FaultInjector> injector;
-    /// Engine options this worker (re)constructs engines with; k tracks
-    /// the live budget split.
+    /// Options every engine of this shard is built with.  k is the
+    /// initial split; an engine rebuilt from a checkpoint takes the
+    /// checkpoint's k.
     engine::EngineOptions base_options;
     /// Owned by the worker thread while commands are outstanding; the
     /// coordinator touches it only under the quiesced handoff (rule 3).
@@ -440,8 +438,9 @@ class ShardedEngine {
     Mutex park_mu;
     CondVar park_cv;
     /// Quarantine flag: set by the worker when it catches a fault under
-    /// supervision (release), read by the coordinator (acquire).  While
-    /// set, the worker discards every command except kRestore.
+    /// supervision (release), read by the coordinator (acquire), and
+    /// cleared by the coordinator once a recovery's replay completes.
+    /// While set, the worker discards every command.
     std::atomic<bool> crashed{false};
     /// Commands routed but not yet completed on this shard — the
     /// backpressure gauge (incremented at route, decremented at
@@ -450,7 +449,7 @@ class ShardedEngine {
     /// steady_clock ns when the worker began its current command; 0 when
     /// idle.  The supervisor's stall detector compares against it.
     std::atomic<std::int64_t> busy_since_ns{0};
-    /// The engine's backoff flag after its last batch or restore, taken
+    /// The engine's backoff flag after its last batch or install, taken
     /// from the batch result so the batch path takes no extra engine
     /// lock; the supervisor counts a backing-off shard as degraded.
     std::atomic<bool> engine_backing_off{false};
@@ -459,9 +458,9 @@ class ShardedEngine {
     /// Per-stage e2e latency histograms for batch commands (DESIGN.md
     /// Section 15): worker-owned while commands are outstanding, read by
     /// the coordinator only under the quiesced handoff (rule 3), merged
-    /// into the tdmd_fleet_e2e_* exposition.  Recovery replay records
-    /// nothing here (replayed commands carry no admission clock), so a
-    /// recovered shard's histograms keep exactly its pre-crash samples.
+    /// into the tdmd_fleet_e2e_* exposition.  Recovery replay runs on the
+    /// coordinator and records nothing here, so a recovered shard's
+    /// histograms keep exactly its pre-crash samples.
     obs::LatencyHistogram e2e_submit_dequeue;
     obs::LatencyHistogram e2e_dequeue_patched;
     obs::LatencyHistogram e2e_patched_adopted;
@@ -476,38 +475,34 @@ class ShardedEngine {
     std::thread thread;
   };
 
-  /// One redo-ring record: everything needed to re-route a mutating
-  /// command (kBatch or kSetBudget) to a freshly restored engine, in the
-  /// original order.  Invariant: the ring holds exactly the mutating
-  /// commands routed after the shard's last captured checkpoint, so
-  /// capture-state + ring-replay == live-state for a deterministic
-  /// (synchronous) engine.
-  struct RedoEntry {
-    Command::Kind kind = Command::Kind::kBatch;
-    std::uint64_t epoch = 0;
-    bool shed = false;
-    std::shared_ptr<const traffic::FlowSet> arrivals;
-    std::vector<FlowId64> arrival_ids;
-    std::vector<FlowId64> departure_ids;
-    std::size_t budget = 0;
-    /// Recorded so recovery replay rebinds the replayed engine work to
-    /// the original batch id (and never mints fresh ids).
-    std::uint64_t batch_id = 0;
-  };
-
   /// Per-shard recovery state (client-thread only): the last good
   /// checkpoint block plus the redo ring of commands routed since.
+  /// Invariant: the ring holds exactly the mutating commands (kBatch,
+  /// kSetBudget) routed after the shard's last captured checkpoint, in
+  /// order, so capture-state + ring-replay == live-state for a
+  /// deterministic (synchronous) engine.
   struct ShardGuard {
     engine::EngineCheckpoint checkpoint;
     IdTable<engine::FlowTicket> tickets;
-    std::deque<RedoEntry> ring;
+    std::deque<Command> ring;
   };
 
   void WorkerLoop(Worker& worker);
   void ProcessCommand(Worker& worker, Command& command);
+  /// Applies a mutating command (kBatch, kSetBudget) to `worker`'s engine
+  /// and ticket table.  The worker runs it for routed commands; recovery
+  /// runs it on the coordinator to replay a redo ring.
+  static engine::Engine::BatchResult ApplyMutation(Worker& worker,
+                                                   const Command& command);
+  /// Builds `worker`'s engine from `checkpoint` (with the checkpoint's k)
+  /// and installs `tickets`.  Coordinator only, under the quiesced
+  /// handoff (rule 3): Restore and recovery are its callers.
+  void InstallEngine(Worker& worker,
+                     const engine::EngineCheckpoint& checkpoint,
+                     IdTable<engine::FlowTicket> tickets);
   /// Increments outstanding_ and enqueues; wakes the worker if parked.
   /// Under supervision also records mutating commands in the shard's
-  /// redo ring (unless replaying).
+  /// redo ring.
   void RouteCommand(std::size_t shard, Command command)
       TDMD_EXCLUDES(done_mu_);
   void CompleteCommand(Worker& worker) TDMD_EXCLUDES(done_mu_);
@@ -517,10 +512,10 @@ class ShardedEngine {
   FleetMemoryStats MemoryUsageQuiesced();
 
   // --- supervisor internals (client thread) ---------------------------
-  void SetFleetState(FleetState state);
-  /// Quarantined-shard recovery: drain, restore the last good checkpoint
-  /// onto a rebuilt engine, replay the redo ring, re-enter the budget
-  /// reallocation round.
+  /// Quarantined-shard recovery: drain, rebuild the engine from the last
+  /// good checkpoint, replay the redo ring on the coordinator, re-enter
+  /// the budget reallocation round.  A fault during the replay drops the
+  /// engine and leaves the shard quarantined for the next tick.
   void RecoverShard(std::size_t shard);
   /// Captures fresh recovery checkpoints when the cadence or a full redo
   /// ring calls for it.
@@ -563,9 +558,6 @@ class ShardedEngine {
   /// Set when any redo ring exceeds kRedoRingCapacity; forces a capture
   /// at the next epoch boundary.
   bool capture_due_ = false;
-  /// True while RecoverShard replays a redo ring, so replayed commands
-  /// are not re-recorded.
-  bool replaying_ = false;
   obs::RateCusum shed_alert_;
 
   // --- e2e SLO pipeline (client thread; DESIGN.md Section 15) ----------

@@ -330,23 +330,54 @@ int Viz(int argc, char** argv) {
   return 0;
 }
 
+/// serve-trace's engine flags as engine options, shared by both serve
+/// paths (a fleet takes k as its total budget and splits it).
+engine::EngineOptions ServeEngineOptions(const core::Instance& inst,
+                                         std::size_t k,
+                                         double move_threshold,
+                                         double resolve_churn_fraction,
+                                         int deadline_ms) {
+  engine::EngineOptions options;
+  options.k = k;
+  options.lambda = inst.lambda();
+  options.move_threshold = move_threshold;
+  options.resolve_churn_fraction = resolve_churn_fraction;
+  options.solve_deadline = std::chrono::milliseconds(deadline_ms);
+  return options;
+}
+
+/// serve-trace's --fault-* flags as the engine-site fault plan (index
+/// deltas and greedy rounds), shared by both serve paths; empty when
+/// --fault-seed is 0.
+std::optional<faults::FaultSpec> EngineFaultSpec(std::uint64_t seed,
+                                                 double throw_p,
+                                                 double delay_p,
+                                                 int delay_ms,
+                                                 double cancel_p) {
+  if (seed == 0) return std::nullopt;
+  faults::FaultSpec spec;
+  spec.seed = seed;
+  spec.at(faults::FaultSite::kIndexDelta).throw_probability = throw_p;
+  faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
+  round.throw_probability = throw_p;
+  round.delay_probability = delay_p;
+  round.delay = std::chrono::milliseconds(delay_ms);
+  round.cancel_probability = cancel_p;
+  return spec;
+}
+
 /// Everything serve-trace needs to hand the sharded path, pre-parsed.
 struct ShardedServeParams {
   std::size_t shards = 1;
   std::string partition = "bfs";
   bool partition_given = false;  // --partition was on the command line
-  std::size_t k = 8;
+  /// Every shard's engine template; k is the fleet's total budget.
+  engine::EngineOptions engine;
+  std::optional<faults::FaultSpec> engine_faults;
   std::size_t epochs = 20;
   std::size_t arrival_count = 5;
   double departure_probability = 0.15;
-  double move_threshold = 0.0;
-  double resolve_churn_fraction = 0.0;
   std::uint64_t seed = 1;
-  std::uint64_t fault_seed = 0;
-  double fault_throw_p = 0.0;
-  double fault_delay_p = 0.0;
-  int fault_delay_ms = 1;
-  double fault_cancel_p = 0.0;
   std::size_t checkpoint_every = 0;
   std::string checkpoint_out;
   std::string restore;
@@ -408,7 +439,8 @@ int ServeTraceSharded(const core::Instance& inst,
   }
   options.partition.num_shards = params.shards;
   options.partition.seed = params.seed;
-  options.total_budget = params.k;
+  options.engine = params.engine;
+  options.total_budget = params.engine.k;
   // A restored fleet takes its partition from the checkpoint, so --seed
   // drives only the churn, as it does for a single engine.  Flags that
   // contradict the record are user errors, diagnosed before any fleet
@@ -431,8 +463,8 @@ int ServeTraceSharded(const core::Instance& inst,
     }
     std::size_t budget = 0;
     for (const std::size_t b : restored->budgets) budget += b;
-    if (budget != params.k) {
-      Die("--k=" + std::to_string(params.k) +
+    if (budget != params.engine.k) {
+      Die("--k=" + std::to_string(params.engine.k) +
           " contradicts the checkpoint's fleet budget " +
           std::to_string(budget));
     }
@@ -449,36 +481,27 @@ int ServeTraceSharded(const core::Instance& inst,
     options.partition.method = restored->method;
     options.partition.seed = restored->partition_seed;
   }
-  options.engine.lambda = inst.lambda();
-  options.engine.move_threshold = params.move_threshold;
-  options.engine.resolve_churn_fraction = params.resolve_churn_fraction;
   // --kill-shard-at is a supervised crash drill; it implies --supervise.
   options.supervise = params.supervise || params.kill_shard_at != 0;
   options.queue_depth = params.queue_depth;
   options.backpressure_deadline =
       std::chrono::milliseconds(params.backpressure_deadline_ms);
-  if (params.fault_seed != 0) {
+  if (params.engine_faults.has_value()) {
     options.inject_faults = true;
-    faults::FaultSpec spec;
-    spec.seed = params.fault_seed;  // shard i draws seed + i
-    spec.at(faults::FaultSite::kIndexDelta).throw_probability =
-        params.fault_throw_p;
-    faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
-    round.throw_probability = params.fault_throw_p;
-    round.delay_probability = params.fault_delay_p;
-    round.delay = std::chrono::milliseconds(params.fault_delay_ms);
-    round.cancel_probability = params.fault_cancel_p;
+    options.fault_spec = *params.engine_faults;  // shard i draws seed + i
     if (options.supervise) {
-      // Supervised fleets also draw shard-layer faults: worker aborts
-      // (recovered automatically) and queue-drain stalls (flagged as
-      // SHARD_DEGRADED, fed to the backpressure path).
+      // Supervised fleets also draw shard-layer faults at the greedy
+      // round's rates: worker aborts (recovered automatically) and
+      // queue-drain stalls (flagged as SHARD_DEGRADED, fed to the
+      // backpressure path).
+      faults::FaultSpec& spec = options.fault_spec;
+      const faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
       spec.at(faults::FaultSite::kShardWorker).throw_probability =
-          params.fault_throw_p;
+          round.throw_probability;
       faults::SiteSpec& drain = spec.at(faults::FaultSite::kQueueDrain);
-      drain.delay_probability = params.fault_delay_p;
-      drain.delay = std::chrono::milliseconds(params.fault_delay_ms);
+      drain.delay_probability = round.delay_probability;
+      drain.delay = round.delay;
     }
-    options.fault_spec = spec;
   }
   // Declared before the fleet so the workers are joined before the
   // tracer's/profiler's rings go away (the obs lifecycle contract).
@@ -756,6 +779,13 @@ int ServeTrace(int argc, char** argv) {
   if (!instance.ok()) Die(instance.error);
   const core::Instance& inst = *instance.value;
 
+  engine::EngineOptions options =
+      ServeEngineOptions(inst, static_cast<std::size_t>(*k), *move_threshold,
+                         *resolve_churn_fraction, *deadline_ms);
+  const std::optional<faults::FaultSpec> engine_faults = EngineFaultSpec(
+      static_cast<std::uint64_t>(*fault_seed), *fault_throw_p,
+      *fault_delay_p, *fault_delay_ms, *fault_cancel_p);
+
   if (*shards > 1) {
     if (!quality_out->empty()) {
       Die("--quality-out is single-engine only; sharded runs expose "
@@ -765,18 +795,12 @@ int ServeTrace(int argc, char** argv) {
     params.shards = static_cast<std::size_t>(*shards);
     params.partition = *partition_name;
     params.partition_given = parser.Given("partition");
-    params.k = static_cast<std::size_t>(*k);
+    params.engine = options;
+    params.engine_faults = engine_faults;
     params.epochs = static_cast<std::size_t>(*epochs);
     params.arrival_count = static_cast<std::size_t>(*arrival_count);
     params.departure_probability = *departure_probability;
-    params.move_threshold = *move_threshold;
-    params.resolve_churn_fraction = *resolve_churn_fraction;
     params.seed = static_cast<std::uint64_t>(*seed);
-    params.fault_seed = static_cast<std::uint64_t>(*fault_seed);
-    params.fault_throw_p = *fault_throw_p;
-    params.fault_delay_p = *fault_delay_p;
-    params.fault_delay_ms = *fault_delay_ms;
-    params.fault_cancel_p = *fault_cancel_p;
     params.checkpoint_every = static_cast<std::size_t>(*checkpoint_every);
     params.checkpoint_out = *checkpoint_out;
     params.restore = *restore;
@@ -791,27 +815,20 @@ int ServeTrace(int argc, char** argv) {
     params.prof_hz = static_cast<std::uint32_t>(*prof_hz);
     return ServeTraceSharded(inst, params);
   }
-
-  engine::EngineOptions options;
-  options.k = static_cast<std::size_t>(*k);
-  options.lambda = inst.lambda();
-  options.move_threshold = *move_threshold;
-  options.resolve_churn_fraction = *resolve_churn_fraction;
-  options.solve_deadline = std::chrono::milliseconds(*deadline_ms);
+  // A single engine has no shards: fleet flags would be silently ignored.
+  for (const char* flag : {"supervise", "queue-depth",
+                           "backpressure-deadline-ms", "kill-shard-at",
+                           "kill-shard", "partition"}) {
+    if (parser.Given(flag)) {
+      Die(std::string("--") + flag +
+          " needs --shards>1; a single engine has no shards");
+    }
+  }
 
   // The injector must outlive the engine (the engine keeps a raw pointer).
   std::optional<faults::FaultInjector> injector;
-  if (*fault_seed != 0) {
-    faults::FaultSpec spec;
-    spec.seed = static_cast<std::uint64_t>(*fault_seed);
-    spec.at(faults::FaultSite::kIndexDelta).throw_probability =
-        *fault_throw_p;
-    faults::SiteSpec& round = spec.at(faults::FaultSite::kGreedyRound);
-    round.throw_probability = *fault_throw_p;
-    round.delay_probability = *fault_delay_p;
-    round.delay = std::chrono::milliseconds(*fault_delay_ms);
-    round.cancel_probability = *fault_cancel_p;
-    injector.emplace(spec);
+  if (engine_faults.has_value()) {
+    injector.emplace(*engine_faults);
     options.fault_injector = &*injector;
   }
   // Declared before the engine so the engine is destroyed before the
