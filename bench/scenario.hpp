@@ -234,6 +234,8 @@ struct ShardRunSummary {
   bool cert_valid = false;
   double cert_bound = 0.0;
   std::size_t boxes = 0;
+  /// Median wall time of five Snapshot() calls on the drained fleet.
+  double snapshot_ms = 0.0;
   obs::LatencyHistogram epoch_latency;
 };
 
@@ -251,6 +253,7 @@ inline void EmitShardSummary(JsonWriter& json, const ShardRunSummary& run) {
   json.Field(prefix + "_cert_valid", run.cert_valid);
   json.Field(prefix + "_cert_bound", run.cert_bound);
   json.Field(prefix + "_boxes", run.boxes);
+  json.Field(prefix + "_snapshot_ms", run.snapshot_ms);
   EmitHistogramMs(json, prefix + "_epoch", run.epoch_latency);
 }
 

@@ -9,9 +9,10 @@
 //
 // Reported per fleet size: churn-ingest wall time (SubmitBatch + Drain
 // per epoch; prefill is warm-up), ingest events/s, per-epoch latency
-// quantiles, and the quality side — union-evaluated bandwidth, its gap
-// vs the 1-shard run, and the fleet certificate (sum of per-shard CELF
-// certificates over disjoint ground sets, so it should come out no
+// quantiles, the scrape cost (median wall time of five Snapshot() calls
+// after the run), and the quality side — union-evaluated bandwidth, its
+// gap vs the 1-shard run, and the fleet certificate (sum of per-shard
+// CELF certificates over disjoint ground sets, so it should come out no
 // looser than the single-engine bound).  Budget reallocation is disabled
 // here: it is a control-plane epoch-boundary operation, and this bench
 // isolates the data-path ingest cost (the even k/N split is what the
@@ -19,6 +20,7 @@
 //
 // Emits BENCH_shard.json via the shared JsonWriter + EmitShardSummary
 // helpers in bench/scenario.hpp.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -81,7 +83,19 @@ ShardRunSummary RunFleet(const ShardWorkload& workload, std::size_t shards,
                    batch.flow_ids.end());
   }
 
-  const shard::FleetSnapshot snapshot = fleet.Snapshot();
+  // Scrape cost: the median of five Snapshot() calls on the drained fleet
+  // (each one drains, supervises, certifies and union-evaluates).
+  constexpr std::size_t kSnapshotCalls = 5;
+  std::vector<double> snapshot_ms;
+  shard::FleetSnapshot snapshot;
+  for (std::size_t i = 0; i < kSnapshotCalls; ++i) {
+    const std::uint64_t start_ns = obs::MonotonicNanos();
+    snapshot = fleet.Snapshot();
+    snapshot_ms.push_back(
+        static_cast<double>(obs::MonotonicNanos() - start_ns) / 1e6);
+  }
+  std::sort(snapshot_ms.begin(), snapshot_ms.end());
+  run.snapshot_ms = snapshot_ms[kSnapshotCalls / 2];
   run.bandwidth = snapshot.bandwidth;
   run.feasible = snapshot.feasible;
   run.cert_valid = snapshot.cert_valid;
@@ -129,7 +143,8 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
               << run.bandwidth_gap_pct << "%)  cert="
               << (run.cert_valid ? "valid " : "stale ") << run.cert_bound
               << "  boxes=" << run.boxes << "  feasible="
-              << run.feasible << "\n";
+              << run.feasible << "  snapshot=" << run.snapshot_ms
+              << " ms\n";
     runs.push_back(std::move(run));
   }
 

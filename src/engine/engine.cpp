@@ -162,7 +162,8 @@ Engine::BatchResult Engine::SubmitBatch(
       stats_.patch_boxes += result.patch_boxes;
       // The patched boxes also serve (or serve earlier) flows that were
       // already covered, so the incremental total is stale; resync once.
-      maintained_bandwidth_ = EvaluateBandwidth(index_, deployment_);
+      maintained_bandwidth_ =
+          EvaluateUnits(index_, deployment_).bandwidth(index_.lambda());
     }
     patch_span.set_arg(result.patch_boxes);
   }

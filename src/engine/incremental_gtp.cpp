@@ -376,18 +376,21 @@ Bandwidth MarginalDecrement(const FlowCoverageIndex& index,
   return (1.0 - index.lambda()) * static_cast<Bandwidth>(units);
 }
 
-Bandwidth EvaluateBandwidth(const FlowCoverageIndex& index,
-                            const core::Deployment& deployment) {
-  std::int64_t decrement_units = 0;
+DeploymentUnits EvaluateUnits(const FlowCoverageIndex& index,
+                              const core::Deployment& deployment) {
+  DeploymentUnits units;
+  units.unprocessed = index.unprocessed_units();
   for (std::size_t c = 0; c < index.num_path_classes(); ++c) {
     const FlowCoverageIndex::PathClass& cls = index.PathClassAt(c);
     if (cls.active_flows == 0) continue;
     const std::int32_t serving = ServingIndex(index, c, deployment);
-    if (serving == core::kUnservedIndex) continue;
-    decrement_units += cls.rate_sum * (cls.edges() - serving);
+    if (serving == core::kUnservedIndex) {
+      units.all_served = false;
+      continue;
+    }
+    units.decrement += cls.rate_sum * (cls.edges() - serving);
   }
-  return static_cast<Bandwidth>(index.unprocessed_units()) -
-         (1.0 - index.lambda()) * static_cast<Bandwidth>(decrement_units);
+  return units;
 }
 
 }  // namespace tdmd::engine

@@ -98,13 +98,35 @@ struct IncrementalGtpResult {
 IncrementalGtpResult SolveIncrementalGtp(
     const FlowCoverageIndex& index, const IncrementalGtpOptions& options);
 
-/// Bandwidth b(P) of `deployment` for the index's current flow set under
-/// the forced nearest-source allocation; unserved flows pay full rate.
-/// Computed as U - (1 - lambda) * D from the integer sums U = sum of
-/// r_f * |p_f| and D = sum of r_f * l_v(f), so it is exactly the solver's
-/// b(P) for the same deployment.  O(sum of distinct live path lengths).
-Bandwidth EvaluateBandwidth(const FlowCoverageIndex& index,
-                            const core::Deployment& deployment);
+/// The integer sums behind b(P) under the forced nearest-source
+/// allocation: U = sum of r_f * |p_f|, D = sum of r_f * l_v(f) over the
+/// served flows, and whether every flow is served.  Sums over several
+/// indexes add, so a fleet evaluates its union deployment shard by shard
+/// and scales by (1 - lambda) once.
+struct DeploymentUnits {
+  std::int64_t unprocessed = 0;
+  std::int64_t decrement = 0;
+  bool all_served = true;
+
+  DeploymentUnits& operator+=(const DeploymentUnits& other) {
+    unprocessed += other.unprocessed;
+    decrement += other.decrement;
+    all_served = all_served && other.all_served;
+    return *this;
+  }
+  /// b(P) = U - (1 - lambda) * D: exactly the solver's b(P) for the same
+  /// deployment, unserved flows paying full rate.
+  Bandwidth bandwidth(double lambda) const {
+    return static_cast<Bandwidth>(unprocessed) -
+           (1.0 - lambda) * static_cast<Bandwidth>(decrement);
+  }
+};
+
+/// One pass over the index's live path classes against `deployment`: each
+/// class adds rate_sum * (|p| - serving index) to D.  O(sum of distinct
+/// live path lengths); allocates nothing.
+DeploymentUnits EvaluateUnits(const FlowCoverageIndex& index,
+                              const core::Deployment& deployment);
 
 /// Path position of the first deployed vertex on class c's path (the
 /// forced nearest-source server of all its flows), or

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -22,7 +23,9 @@ FleetReport Fail(const std::string& error) {
 
 // One shard's slice of a batch chain, keyed by emitting thread: the
 // queue-dwell span carries the shard id in its arg, and the engine events
-// that follow (patch, batch-adopted) land on the same worker thread.
+// that follow (patch, batch-adopted) land on the same worker thread.  A
+// recovery replays on the coordinator, so a replayed batch's patch and
+// adoption land on the thread of its fleet-submit span instead.
 struct ShardChain {
   bool has_dwell = false;
   std::uint64_t shard = 0;
@@ -37,6 +40,7 @@ struct ShardChain {
 struct BatchChain {
   bool has_submit = false;
   double submit_us = 0.0;
+  double submit_tid = 0.0;  // the coordinator's thread
   std::map<double, ShardChain> by_tid;
 };
 
@@ -63,6 +67,7 @@ FleetReport BuildFleetReport(const ChromeTrace& trace) {
     if (event.name == "fleet-submit") {
       chain.has_submit = true;
       chain.submit_us = event.ts_us;
+      chain.submit_tid = event.tid;
       continue;
     }
     ShardChain& shard_chain = chain.by_tid[event.tid];
@@ -90,45 +95,69 @@ FleetReport BuildFleetReport(const ChromeTrace& trace) {
   double e2e_total_us = 0.0;
   for (const auto& [batch, chain] : chains) {
     ++report.batches;
+    // A patch + adoption on the coordinator's thread is a recovery replay
+    // completing the legs the crashed worker lost: a dequeue it never
+    // adopted, or a command it discarded while quarantined.
+    const ShardChain* replay = nullptr;
+    if (const auto it = chain.by_tid.find(chain.submit_tid);
+        chain.has_submit && it != chain.by_tid.end() &&
+        it->second.has_patch && it->second.has_adopt) {
+      replay = &it->second;
+    }
     // Connected = a complete chain exists and nothing dangles: at least
-    // one thread carries dwell + patch + adoption, and every thread that
-    // dequeued the batch also adopted it (a dwell without an adoption
-    // means the work was lost to a crash or a truncated capture).
-    const ShardChain* straggler = nullptr;
+    // one leg carries dwell + patch + adoption, and every worker that
+    // dequeued the batch also adopted it, or a replay did (a dwell with
+    // no adoption anywhere means the work was lost to a crash or a
+    // truncated capture).
+    std::optional<ShardChain> straggler;
     bool dangling = false;
     bool any_dwell = false;
-    bool any_patch = false;
-    for (const auto& [tid, sc] : chain.by_tid) {
+    bool any_patch = replay != nullptr;
+    for (const auto& [tid, leg] : chain.by_tid) {
+      if (&leg == replay) continue;
+      ShardChain sc = leg;
       if (sc.has_dwell) {
         any_dwell = true;
         FleetShardRow& row = shard_rows[sc.shard];
         row.shard = sc.shard;
         ++row.batches;
         row.dwell_us += sc.dwell_us;
+        if (!sc.has_adopt && replay != nullptr) {
+          sc.has_patch = true;
+          sc.patch_end_us = replay->patch_end_us;
+          sc.has_adopt = true;
+          sc.adopt_us = replay->adopt_us;
+        }
       }
       if (sc.has_dwell && !sc.has_adopt) dangling = true;
       if (sc.has_patch) any_patch = true;
       if (sc.has_dwell && sc.has_adopt &&
-          (straggler == nullptr || sc.adopt_us > straggler->adopt_us)) {
-        straggler = &sc;
+          (!straggler || sc.adopt_us > straggler->adopt_us)) {
+        straggler = sc;
       }
+    }
+    // Every leg discarded unseen: the replay is the whole chain, with no
+    // dwell and no shard to credit.
+    if (!straggler && replay != nullptr) {
+      straggler = *replay;
+      straggler->dwell_end_us = chain.submit_us;
     }
     // Rings overwrite their oldest events, so in a partial trace a batch
     // may have lost its submit span or every dequeue; only the legs that
     // survived can say whether the batch was lost.
-    if (trace.dropped > 0 && (!chain.has_submit || !any_dwell)) {
+    if (trace.dropped > 0 &&
+        (!chain.has_submit || (!any_dwell && replay == nullptr))) {
       ++report.unscored;
       continue;
     }
-    if (!chain.has_submit || straggler == nullptr || dangling ||
-        !any_patch) {
+    if (!chain.has_submit || !straggler || dangling || !any_patch) {
       if (report.disconnected_ids.size() < kMaxDisconnectedIds) {
         report.disconnected_ids.push_back(batch);
       }
       continue;
     }
     ++report.connected;
-    ++shard_rows[straggler->shard].stragglers;
+    if (straggler->has_dwell) ++shard_rows[straggler->shard].stragglers;
 
     // Critical path through the straggler shard.  A chain whose patch
     // span is missing or out of order degrades gracefully: the patch leg

@@ -11,8 +11,7 @@
 
 #include "common/check.hpp"
 #include "core/celf.hpp"
-#include "core/instance.hpp"
-#include "core/objective.hpp"
+#include "engine/incremental_gtp.hpp"
 #include "obs/build_info.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -762,19 +761,18 @@ FleetSnapshot ShardedEngine::Snapshot() {
   snapshot.cert_valid = true;
   snapshot.shards.reserve(workers_.size());
 
-  traffic::FlowSet all_flows;
-  // A quarantined shard's flows live in no engine, so the fleet cannot
-  // vouch that they are served.
-  bool every_shard_live = true;
+  engine::DeploymentUnits units;
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     if (workers_[s]->engine == nullptr) {
       // Still quarantined: report the hole instead of dereferencing it.
+      // Its flows live in no engine, so the fleet cannot vouch that they
+      // are served.
       ShardStatus status;
       status.budget = shard_budget_[s];
       status.quarantined = true;
       status.redo_ring = options_.supervise ? guards_[s].ring.size() : 0;
       snapshot.cert_valid = false;
-      every_shard_live = false;
+      units.all_served = false;
       snapshot.shards.push_back(std::move(status));
       continue;
     }
@@ -807,24 +805,21 @@ FleetSnapshot ShardedEngine::Snapshot() {
     for (const VertexId v : shard_snap->deployment.vertices()) {
       if (!snapshot.deployment.Contains(v)) snapshot.deployment.Add(v);
     }
-    for (const engine::FlowTicket ticket : eng.index().ActiveTickets()) {
-      all_flows.push_back(eng.index().FlowAt(ticket));
-    }
     snapshot.shards.push_back(std::move(status));
   }
 
-  // The fleet-level numbers are union-evaluated: one instance over every
-  // active flow, the merged deployment against it.  This is the number
-  // comparable with a single-engine run — per-shard bandwidths are the
-  // exactly-once local accounts and ignore cross-shard help.
-  const core::Instance instance(network_, std::move(all_flows),
-                                options_.engine.lambda);
-  snapshot.bandwidth = core::EvaluateBandwidth(instance, snapshot.deployment);
-  core::ServedState served(instance);
-  for (const VertexId v : snapshot.deployment.vertices()) {
-    served.Deploy(v);
+  // The fleet-level numbers are union-evaluated: every live shard's path
+  // classes against the merged deployment, U and D summed as integers and
+  // scaled by (1 - lambda) once.  This is the number comparable with a
+  // single-engine run — per-shard bandwidths are the exactly-once local
+  // accounts and ignore cross-shard help.
+  for (const auto& worker : workers_) {
+    if (worker->engine == nullptr) continue;
+    units += engine::EvaluateUnits(worker->engine->index(),
+                                   snapshot.deployment);
   }
-  snapshot.feasible = every_shard_live && served.AllServed();
+  snapshot.bandwidth = units.bandwidth(options_.engine.lambda);
+  snapshot.feasible = units.all_served;
   return snapshot;
 }
 

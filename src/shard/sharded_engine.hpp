@@ -212,9 +212,13 @@ struct FleetSnapshot {
   /// Bandwidth of the *union* deployment evaluated against the union
   /// flow set — the number comparable with a single-engine run.  Never
   /// worse than the sum of per-shard bandwidths (a shard's flow may be
-  /// served even better by another shard's box on its path).
+  /// served even better by another shard's box on its path).  Evaluated
+  /// over every live shard's path classes (engine::EvaluateUnits) as
+  /// U - (1 - lambda) * D with U and D summed exactly across shards, so
+  /// it is the solver's b(P) bit for bit.
   Bandwidth bandwidth = 0.0;
-  /// Union feasibility, also union-evaluated.
+  /// Union feasibility, from the same pass: every live class served and
+  /// no shard quarantined.
   bool feasible = false;
   core::Deployment deployment;
   /// Split-conditional fleet certificate: the sum of per-shard certified
@@ -327,7 +331,9 @@ class ShardedEngine {
   /// Blocks until every routed command has completed on its worker.
   void Drain();
 
-  /// Drains, then assembles the union-evaluated fleet snapshot.
+  /// Drains, then assembles the union-evaluated fleet snapshot: a
+  /// certify round plus one pass over each shard's live path classes, no
+  /// per-flow work.
   FleetSnapshot Snapshot();
 
   /// Drains, then renders the merged fleet exposition: every
@@ -540,7 +546,7 @@ class ShardedEngine {
       const std::vector<std::vector<Bandwidth>>& curves) const;
 
   ShardedEngineOptions options_;  // immutable after construction
-  graph::Digraph network_;        // coordinator's copy, for union evals
+  graph::Digraph network_;        // copied into every (re)built engine
   Partition partition_;
 
   // --- client-thread coordinator state (no lock; see class comment) ----

@@ -150,6 +150,55 @@ TEST(FleetReportTest, DanglingDwellMarksBatchDisconnected) {
             std::string::npos);
 }
 
+TEST(FleetReportTest, CoordinatorReplayCompletesLostLegs) {
+  // Recovery replays on the coordinator (tid 0, the fleet-submit thread).
+  // Batch 2's worker dequeued it and aborted before adopting; batch 3 was
+  // discarded unseen while its shard was quarantined.  The replay's patch
+  // and adoption complete both.
+  const std::string text = Trace({
+      ConnectedBatch(1, 1, 0, 100),
+      Span("fleet-submit", 0, 200, 50, 1, 2),
+      Span("queue-dwell", 1, 200, 10, 0, 2),
+      Span("fleet-submit", 0, 260, 20, 1, 3),
+      Span("patch", 0, 300, 20, 0, 2),
+      Instant("batch-adopted", 0, 330, 1, 2),
+      Span("patch", 0, 340, 10, 0, 3),
+      Instant("batch-adopted", 0, 355, 1, 3),
+  });
+  const FleetReport report = Build(text);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.batches, 3u);
+  EXPECT_EQ(report.connected, 3u);
+  EXPECT_TRUE(report.disconnected_ids.empty());
+  // Batch 2 ends at the replay's adoption (e2e 130 us) and is credited to
+  // the shard that dequeued it; batch 3 has no dwell and no shard.
+  EXPECT_DOUBLE_EQ(report.e2e_max_us, 130.0);
+  ASSERT_EQ(report.shards.size(), 1u);
+  EXPECT_EQ(report.shards[0].batches, 2u);
+  EXPECT_EQ(report.shards[0].stragglers, 2u);
+}
+
+TEST(FleetReportTest, DwellWithNoAdoptionAnywhereStaysDisconnected) {
+  // Batch 2's worker dequeued and never adopted, and the coordinator's
+  // replay of it faulted after its patch: no adoption anywhere.  Batch 3
+  // has only a replay patch.  Both were lost.
+  const std::string text = Trace({
+      ConnectedBatch(1, 1, 0, 100),
+      Span("fleet-submit", 0, 200, 50, 1, 2),
+      Span("queue-dwell", 1, 200, 10, 0, 2),
+      Span("patch", 0, 300, 20, 0, 2),
+      Span("fleet-submit", 0, 400, 50, 1, 3),
+      Span("patch", 0, 460, 20, 0, 3),
+  });
+  const FleetReport report = Build(text);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.batches, 3u);
+  EXPECT_EQ(report.connected, 1u);
+  ASSERT_EQ(report.disconnected_ids.size(), 2u);
+  EXPECT_EQ(report.disconnected_ids[0], 2u);
+  EXPECT_EQ(report.disconnected_ids[1], 3u);
+}
+
 TEST(FleetReportTest, SubmitWithoutAnyWorkerIsDisconnected) {
   // A fleet-submit span with no downstream events (all commands shed or
   // the capture cut off) must not count as connected.

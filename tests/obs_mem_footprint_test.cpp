@@ -5,8 +5,9 @@
 // building one.  Also covers the MpscQueue node accounting, the
 // tdmd_mem_* / tdmd_build_info / tdmd_profile_* gauges in the engine's
 // Prometheus exposition, and the allocation counts of the paths that must
-// not allocate per flow: known-path index deltas, checkpoint capture, and
-// fleet admission.  The counters are global, so they count every thread.
+// not allocate per flow: known-path index deltas, checkpoint capture,
+// fleet admission and fleet snapshots.  The counters are global, so they
+// count every thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -248,6 +249,55 @@ TEST(ObsMemFootprint, SupervisedFleetAdmitsKnownPathArrivalsAtOneAllocation) {
                                << kBatches * instance.flows().size()
                                << " arrivals";
   EXPECT_GE(fleet.stats().supervisor_checkpoints, 2u);
+}
+
+// ShardedEngine::Snapshot evaluates the union deployment over each shard's
+// path classes, and Metrics is a Snapshot plus the exposition, so a fleet
+// holding 8x the flows over the same live classes makes exactly as many
+// allocations in either.
+TEST(ObsMemFootprint, FleetSnapshotAllocationsDoNotGrowWithFlowsPerPath) {
+#if TDMD_AUDITS_ENABLED
+  GTEST_SKIP() << "audit builds rebuild the instance in every solve";
+#endif
+  Rng rng(23);
+  const core::Instance instance =
+      test::MakeRandomGeneralCase(40, 0.5, 400, rng);
+  struct Counts {
+    std::size_t snapshot = 0;
+    std::size_t metrics = 0;
+  };
+  const auto scrape_allocations = [&](std::size_t copies) {
+    // A two-shard path's owner follows the fleet id's parity, so from two
+    // copies on every class is live on the same owner shards.
+    traffic::FlowSet flows;
+    for (std::size_t c = 0; c < copies; ++c) {
+      flows.insert(flows.end(), instance.flows().begin(),
+                   instance.flows().end());
+    }
+    shard::ShardedEngineOptions options;
+    options.partition.num_shards = 2;
+    options.total_budget = 12;
+    options.engine.lambda = instance.lambda();
+    options.pin_threads = false;
+    options.supervise = true;
+    shard::ShardedEngine fleet(instance.network(), options);
+    (void)fleet.SubmitBatch(flows, {});
+    fleet.Drain();
+
+    Counts counts;
+    std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const shard::FleetSnapshot snapshot = fleet.Snapshot();
+    counts.snapshot = g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_TRUE(snapshot.feasible);
+    before = g_allocations.load(std::memory_order_relaxed);
+    (void)fleet.Metrics();
+    counts.metrics = g_allocations.load(std::memory_order_relaxed) - before;
+    return counts;
+  };
+  const Counts base = scrape_allocations(2);
+  const Counts scaled = scrape_allocations(16);
+  EXPECT_EQ(base.snapshot, scaled.snapshot);
+  EXPECT_EQ(base.metrics, scaled.metrics);
 }
 
 TEST(ObsMemFootprint, MpscQueueFootprintTracksOccupancy) {

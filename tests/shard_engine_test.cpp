@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/instance.hpp"
+#include "core/objective.hpp"
 #include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "faults/faults.hpp"
@@ -155,6 +157,67 @@ TEST(ShardEngineTest, ExactlyOnceFlowAccounting) {
     shard_sum += shard.bandwidth;
   }
   EXPECT_LE(snapshot.bandwidth, shard_sum + 1e-9);
+}
+
+// The fleet's union evaluation sums path classes shard by shard; it must
+// equal, exactly, the batch objective over one instance of every live
+// flow with the union deployed — for a non-dyadic 1 - lambda too, where
+// the per-flow sum core::EvaluateBandwidth rounds differently.
+TEST(ShardEngineTest, UnionSnapshotIsExactlyTheBatchObjective) {
+  const graph::Digraph g = TestNetwork(41);
+  const engine::ChurnTrace trace = MakeTrace(g, 10, 7);
+  traffic::FlowSet arrivals;  // by arrival sequence
+  for (const engine::ChurnEpoch& epoch : trace.epochs) {
+    arrivals.insert(arrivals.end(), epoch.arrivals.begin(),
+                    epoch.arrivals.end());
+  }
+  traffic::FlowSet live = test::LiveHandles(arrivals, trace.epochs);
+  ASSERT_FALSE(live.empty());
+  // The trace's flows all end at vertex 0, which one box serves; flows to
+  // other destinations let a small budget leave some unserved.
+  traffic::FlowSet elsewhere;
+  Rng rng(9);
+  for (const VertexId destination : {13, 27, 39}) {
+    engine::ChurnModel model;
+    model.arrival_count = 6;
+    model.destination = destination;
+    const traffic::FlowSet drawn = engine::DrawArrivals(g, model, rng);
+    elsewhere.insert(elsewhere.end(), drawn.begin(), drawn.end());
+  }
+  live.insert(live.end(), elsewhere.begin(), elsewhere.end());
+
+  bool saw_feasible = false;
+  bool saw_infeasible = false;
+  for (const double lambda : {0.5, 0.7}) {
+    for (const std::size_t budget : {3u, 12u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "lambda " << lambda << ", budget " << budget);
+      ShardedEngineOptions options = FleetOptions(3, budget);
+      options.engine.lambda = lambda;
+      ShardedEngine fleet(g, options);
+      std::vector<FlowId64> handles;
+      ReplayFleet(fleet, trace, 0, trace.epochs.size(), handles);
+      (void)fleet.SubmitBatch(elsewhere, {});
+      ASSERT_GT(fleet.stats().cross_shard_flows, 0u);
+      const FleetSnapshot snapshot = fleet.Snapshot();
+
+      const core::Instance instance(g, live, lambda);
+      core::ServedState served(instance);
+      for (const VertexId v : snapshot.deployment.vertices()) {
+        served.Deploy(v);
+      }
+      EXPECT_EQ(snapshot.bandwidth, served.bandwidth());
+      EXPECT_EQ(snapshot.feasible, served.AllServed());
+      if (lambda == 0.5) {
+        EXPECT_EQ(snapshot.bandwidth,
+                  core::EvaluateBandwidth(instance, snapshot.deployment));
+      }
+      (snapshot.feasible ? saw_feasible : saw_infeasible) = true;
+    }
+  }
+  // Both verdicts are exercised, or the feasibility check is vacuous.
+  EXPECT_TRUE(saw_feasible);
+  EXPECT_TRUE(saw_infeasible);
 }
 
 TEST(ShardEngineTest, SingleShardMatchesPlainEngine) {
