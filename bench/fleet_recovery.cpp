@@ -4,14 +4,16 @@
 // Replays one seeded regionalized churn workload through a supervised
 // shard::ShardedEngine three times per seed, at several seeds:
 //
-//   A  baseline     — supervised, uninterrupted.
+//   A  baseline     — supervised, uninterrupted, budget reallocated
+//                     every 4 epochs.
 //   B  crash drill  — a shard is killed mid-churn (CrashShard, the same
 //                     failure path as an injected worker abort); the
 //                     supervisor quarantines it, respawns the engine
 //                     from its per-shard recovery checkpoint and replays
 //                     the redo ring.  Reported: recovery wall time, redo
 //                     commands replayed, and the final-bandwidth delta
-//                     vs A — the redo-ring guarantee makes it zero.
+//                     vs A — the redo-ring guarantee makes it zero, and
+//                     B runs A's realloc rounds and adoptions exactly.
 //   C  overload     — the same trace pushed through depth-1 bounded
 //                     queues while every batch draws an injected
 //                     queue-drain stall, i.e. consumers persistently
@@ -19,12 +21,10 @@
 //                     deferred-re-solve admission instead of growing;
 //                     reported: shed rate, backpressure waits, and the
 //                     bandwidth cost of serving every shed epoch from a
-//                     stale placement.
+//                     stale placement.  Reallocation stays off here:
+//                     which batches are shed depends on timing.
 //
-// Budget reallocation is disabled throughout so runs A and B are
-// command-for-command comparable (recovery re-enters the reallocation
-// round only when reallocation is configured).  Emits BENCH_fleet.json
-// via the shared JsonWriter in bench/scenario.hpp.
+// Emits BENCH_fleet.json via the shared JsonWriter in bench/scenario.hpp.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -46,6 +46,7 @@ struct DrillConfig {
   std::size_t crash_shard = 1;
   std::size_t queue_depth = 0;   // 0 = unbounded
   bool stall_faults = false;     // kQueueDrain delay on every batch
+  std::uint64_t realloc_interval_epochs = 4;  // 0 = no reallocation
   std::uint64_t seed = 1;
 };
 
@@ -67,7 +68,7 @@ DrillResult RunDrill(const ShardWorkload& workload,
   options.partition.seeds = workload.hubs;
   options.total_budget = config.k;
   options.engine.lambda = config.lambda;
-  options.realloc_interval_epochs = 0;  // A/B command-for-command parity
+  options.realloc_interval_epochs = config.realloc_interval_epochs;
   options.supervise = true;
   options.queue_depth = config.queue_depth;
   options.backpressure_deadline = std::chrono::milliseconds(2);
@@ -174,6 +175,7 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
     DrillConfig overload = base;
     overload.queue_depth = queue_depth;
     overload.stall_faults = true;
+    overload.realloc_interval_epochs = 0;
     const DrillResult c = RunDrill(workload, overload);
 
     const double recovery_ms =
@@ -188,13 +190,17 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
                   static_cast<double>(c.stats.epochs)
             : 0.0;
     std::cout << "  A baseline : wall=" << a.wall_ms << " ms  bandwidth="
-              << a.bandwidth << "  flows=" << a.active_flows << "\n";
+              << a.bandwidth << "  flows=" << a.active_flows << "  realloc "
+              << a.stats.realloc_rounds << " rounds, "
+              << a.stats.realloc_adoptions << " adopted\n";
     std::cout << "  B crash    : shard " << crash.crash_shard
               << " killed at epoch " << crash.crash_epoch << ", "
               << b.stats.crashes_detected << " detected, "
               << b.stats.recoveries_completed << " recovered in "
               << recovery_ms << " ms, " << b.stats.redo_replayed
-              << " redo replayed, bandwidth delta=" << delta << "\n";
+              << " redo replayed, bandwidth delta=" << delta << ", realloc "
+              << b.stats.realloc_rounds << " rounds, "
+              << b.stats.realloc_adoptions << " adopted\n";
     std::cout << "  C overload : " << c.stats.shed_batches
               << " batches shed (" << c.stats.shed_events << " events, "
               << shed_rate << "/epoch), " << c.stats.backpressure_waits
@@ -203,11 +209,13 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
 
     // The drill's own acceptance: the crash was recovered, no flow was
     // lost or double-counted, and the recovered fleet converged to the
-    // uninterrupted fleet's bandwidth exactly.
+    // uninterrupted fleet's bandwidth and budget rounds exactly.
     ok = ok && b.stats.crashes_detected >= 1 &&
          b.stats.recoveries_completed >= 1 &&
          b.active_flows == a.active_flows &&
          b.fleet_flows == b.active_flows && delta == 0.0 &&
+         b.stats.realloc_rounds == a.stats.realloc_rounds &&
+         b.stats.realloc_adoptions == a.stats.realloc_adoptions &&
          shed_total > 0 && c.active_flows == a.active_flows;
 
     if (json) {
@@ -222,6 +230,11 @@ void Run(VertexId size, std::size_t flows, std::size_t epochs,
       json->Field(p + "recovery_ms", recovery_ms);
       json->Field(p + "redo_replayed", b.stats.redo_replayed);
       json->Field(p + "crash_bandwidth_delta", delta);
+      json->Field(p + "baseline_realloc_rounds", a.stats.realloc_rounds);
+      json->Field(p + "crash_realloc_rounds", b.stats.realloc_rounds);
+      json->Field(p + "baseline_realloc_adoptions",
+                  a.stats.realloc_adoptions);
+      json->Field(p + "crash_realloc_adoptions", b.stats.realloc_adoptions);
       json->Field(p + "shed_batches", c.stats.shed_batches);
       json->Field(p + "shed_events", c.stats.shed_events);
       json->Field(p + "shed_rate_per_epoch", shed_rate);

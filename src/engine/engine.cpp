@@ -506,33 +506,17 @@ void Engine::SetBudget(std::size_t k) {
   budget_dirty_ = true;
 }
 
-std::vector<Bandwidth> Engine::ProbeMarginalGains(std::size_t budget) {
+IncrementalGtpResult Engine::Probe(std::size_t budget) const {
   MutexLock lock(state_mu_);
   IncrementalGtpOptions solve_options;
   solve_options.max_middleboxes = budget;
   solve_options.feasibility_aware = true;
-  // No injector or deadline: the probe is an advisory
-  // measurement for the budget allocator, not part of the resilience
-  // surface — it must return the same curve under fault injection as
-  // without, or the fleet's k split would depend on injected faults.
-  const IncrementalGtpResult result =
-      SolveIncrementalGtp(index_, solve_options);
-  return result.chosen_gains;
-}
-
-Bandwidth Engine::RefreshCertificate() {
-  MutexLock lock(state_mu_);
-  IncrementalGtpOptions solve_options;
-  solve_options.max_middleboxes = budget_k_;
-  solve_options.feasibility_aware = true;
-  // Like the probe: no injector or deadline — the certificate is
-  // a measurement, not part of the resilience surface.
-  const IncrementalGtpResult result =
-      SolveIncrementalGtp(index_, solve_options);
-  if (options_.quality_sampling) {
-    quality_tracker_.OnCertificate(result.opt_decrement_bound);
-  }
-  return result.opt_decrement_bound;
+  // No injector, deadline or round histogram: the probe is a measurement
+  // for the fleet's budget split and certificate, not part of the
+  // resilience surface — it must return the same answer under fault
+  // injection as without, or the fleet's k split would depend on
+  // injected faults.
+  return SolveIncrementalGtp(index_, solve_options);
 }
 
 obs::QualityTimelineSnapshot Engine::QualityTimeline() const {

@@ -361,23 +361,16 @@ class Engine {
   /// one of at most k boxes.  Client-thread only, like SubmitBatch.
   void SetBudget(std::size_t k) TDMD_EXCLUDES(state_mu_);
 
-  /// Marginal-decrement curve probe for the fleet budget allocator: runs
-  /// one CELF solve against the live flow set with up to `budget`
-  /// middleboxes and returns the chosen vertices' marginal decrements in
-  /// selection order, WITHOUT adopting the solution or touching the
-  /// maintained deployment.  By submodularity the curve is
-  /// non-increasing past the feasibility-aware prefix, which is what the
-  /// coordinator's CelfQueue greedy-merge over shards requires.  Runs
-  /// inline on the calling thread; client-thread only, like SubmitBatch.
-  std::vector<Bandwidth> ProbeMarginalGains(std::size_t budget)
+  /// Read-only probe for the shard coordinator: one CELF solve against
+  /// the live flow set with up to `budget` middleboxes that writes no
+  /// engine state — no adoption, counter, histogram or quality-tracker
+  /// update.  Its chosen_gains are the marginal-decrement curve the fleet
+  /// budget split merges (non-increasing past the feasibility-aware
+  /// prefix, by submodularity, as the coordinator's CelfQueue merge
+  /// requires), and its opt_decrement_bound certifies d(OPT_budget)
+  /// (Theorem 2).  Runs inline on the calling thread.
+  IncrementalGtpResult Probe(std::size_t budget) const
       TDMD_EXCLUDES(state_mu_);
-
-  /// Recomputes the optimality certificate for the CURRENT flow set and
-  /// budget with one fresh CELF solve (no adoption, like the probe) and
-  /// feeds it to the quality tracker, replacing whatever churn-inflated
-  /// bound deferral left behind.  Returns the fresh certified upper bound
-  /// on d(OPT_k).  Client-thread only, like SubmitBatch.
-  Bandwidth RefreshCertificate() TDMD_EXCLUDES(state_mu_);
 
   /// Annotation-only alias for the engine's lock capability, so external
   /// code (obs hooks, tests) can spell caller-side contracts like

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "io/atomic_file.hpp"
+#include "io/line_reader.hpp"
 #include "obs/histogram.hpp"
 #include "obs/quality.hpp"
 #include "obs/timeseries.hpp"
@@ -19,52 +20,11 @@ namespace tdmd::io {
 
 namespace {
 
-/// Tokenizing line reader that skips blanks/comments and tracks line
-/// numbers for diagnostics.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
-
-  /// Next meaningful line split into whitespace tokens; false at EOF.
-  bool Next(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_number_;
-      // Strip comments.
-      if (auto hash = line.find('#'); hash != std::string::npos) {
-        line.resize(hash);
-      }
-      std::istringstream ss(line);
-      tokens.clear();
-      std::string token;
-      while (ss >> token) tokens.push_back(std::move(token));
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  int line_number() const { return line_number_; }
-
- private:
-  std::istream& is_;
-  int line_number_ = 0;
-};
-
-std::string AtLine(int line, const std::string& message) {
-  std::ostringstream oss;
-  oss << "line " << line << ": " << message;
-  return oss.str();
-}
-
-bool ParseInt(const std::string& token, std::int64_t& out) {
-  try {
-    std::size_t consumed = 0;
-    out = std::stoll(token, &consumed);
-    return consumed == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
+using internal::AtLine;
+using internal::LineReader;
+using internal::ParseInt;
+using internal::ParseU64;
+using internal::ReadKeyedU64;
 
 bool ParseDouble(const std::string& token, double& out) {
   try {
@@ -504,30 +464,6 @@ Parsed<core::Deployment> ReadDeployment(std::istream& is,
 }
 
 namespace {
-
-bool ParseU64(const std::string& token, std::uint64_t& out) {
-  // stoull silently wraps "-1"; reject signs up front.
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  try {
-    std::size_t consumed = 0;
-    out = std::stoull(token, &consumed);
-    return consumed == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-/// Strictly ordered `<key> <u64>` line.
-bool ReadKeyedU64(LineReader& reader, std::vector<std::string>& tokens,
-                  const char* key, std::uint64_t& out, std::string& error) {
-  if (!reader.Next(tokens) || tokens.size() != 2 || tokens[0] != key ||
-      !ParseU64(tokens[1], out)) {
-    error = AtLine(reader.line_number(),
-                   std::string("expected '") + key + " <u64>'");
-    return false;
-  }
-  return true;
-}
 
 /// `counter <name> <u64>` line; the name must match, which pins the file
 /// to TDMD_ENGINE_STATS_COUNTERS order.

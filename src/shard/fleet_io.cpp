@@ -1,92 +1,21 @@
 #include "shard/fleet_io.hpp"
 
-#include "io/atomic_file.hpp"
-
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "io/atomic_file.hpp"
+#include "io/line_reader.hpp"
+
 namespace tdmd::shard {
 
-namespace {
-
-/// Tokenizing line reader matching io/text_format.cpp's grammar rules
-/// (skip blanks and '#' comments, track line numbers).  Strictly
-/// line-at-a-time, so after any Next() the stream sits at the start of
-/// the following line — the property the embedded engine blocks rely on.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
-
-  bool Next(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_number_;
-      if (auto hash = line.find('#'); hash != std::string::npos) {
-        line.resize(hash);
-      }
-      std::istringstream ss(line);
-      tokens.clear();
-      std::string token;
-      while (ss >> token) tokens.push_back(std::move(token));
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  int line_number() const { return line_number_; }
-
- private:
-  std::istream& is_;
-  int line_number_ = 0;
-};
-
-std::string AtLine(int line, const std::string& message) {
-  std::ostringstream oss;
-  oss << "line " << line << ": " << message;
-  return oss.str();
-}
-
-bool ParseU64(const std::string& token, std::uint64_t& out) {
-  try {
-    std::size_t consumed = 0;
-    out = std::stoull(token, &consumed);
-    return consumed == token.size() && token[0] != '-';
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool ParseI64(const std::string& token, std::int64_t& out) {
-  try {
-    std::size_t consumed = 0;
-    out = std::stoll(token, &consumed);
-    return consumed == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-/// Reads the next line expecting `key <u64>`.
-bool ReadKeyedU64(LineReader& reader, std::vector<std::string>& tokens,
-                  const std::string& key, std::uint64_t& out,
-                  std::string& error) {
-  if (!reader.Next(tokens)) {
-    error = AtLine(reader.line_number(), "expected '" + key + "', got EOF");
-    return false;
-  }
-  if (tokens.size() != 2 || tokens[0] != key || !ParseU64(tokens[1], out)) {
-    error = AtLine(reader.line_number(), "expected '" + key + " <u64>'");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
+using io::internal::AtLine;
+using io::internal::LineReader;
+using io::internal::ParseInt;
+using io::internal::ParseU64;
+using io::internal::ReadKeyedU64;
 
 void WriteFleetCheckpoint(std::ostream& os,
                           const FleetCheckpoint& checkpoint) {
@@ -186,7 +115,7 @@ io::Parsed<FleetCheckpoint> ReadFleetCheckpoint(std::istream& is) {
     std::int64_t ticket = 0;
     if (!reader.Next(tokens) || tokens.size() != 4 ||
         tokens[0] != "entry" || !ParseU64(tokens[1], id) ||
-        !ParseU64(tokens[2], shard) || !ParseI64(tokens[3], ticket)) {
+        !ParseU64(tokens[2], shard) || !ParseInt(tokens[3], ticket)) {
       result.error = AtLine(reader.line_number(),
                             "expected 'entry <id> <shard> <ticket>'");
       return result;

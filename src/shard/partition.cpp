@@ -305,47 +305,40 @@ Partition PartitionGraph(const graph::Digraph& g,
   return partition;
 }
 
-std::size_t OwnerShard(const Partition& partition,
-                       const traffic::Flow& flow, std::uint64_t flow_id) {
-  // Touched shards in first-touch order.  Paths are short (graph
-  // diameter), so a linear scan beats any set structure.
-  std::uint32_t touched[64];
+namespace {
+
+/// Writes the shards `flow`'s path touches, in first-touch order, to
+/// `touched` and returns their count.  Paths are short (graph diameter),
+/// so a linear scan beats any set structure.
+std::size_t ScanTouched(const Partition& partition, const traffic::Flow& flow,
+                        std::uint32_t (&touched)[64]) {
   std::size_t num_touched = 0;
   for (VertexId v : flow.path.vertices) {
     const std::uint32_t s = partition.shard(v);
-    bool seen = false;
-    for (std::size_t i = 0; i < num_touched; ++i) {
-      if (touched[i] == s) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen && num_touched < 64) {
+    if (num_touched < 64 &&
+        std::find(touched, touched + num_touched, s) == touched + num_touched) {
       touched[num_touched++] = s;
     }
   }
+  return num_touched;
+}
+
+}  // namespace
+
+std::size_t OwnerShard(const Partition& partition,
+                       const traffic::Flow& flow, std::uint64_t flow_id,
+                       std::size_t* touched_out) {
+  std::uint32_t touched[64];
+  const std::size_t num_touched = ScanTouched(partition, flow, touched);
   TDMD_CHECK_MSG(num_touched > 0, "flow with an empty path has no owner");
+  if (touched_out != nullptr) *touched_out = num_touched;
   return touched[flow_id % num_touched];
 }
 
 std::size_t ShardsTouched(const Partition& partition,
                           const traffic::Flow& flow) {
   std::uint32_t touched[64];
-  std::size_t num_touched = 0;
-  for (VertexId v : flow.path.vertices) {
-    const std::uint32_t s = partition.shard(v);
-    bool seen = false;
-    for (std::size_t i = 0; i < num_touched; ++i) {
-      if (touched[i] == s) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen && num_touched < 64) {
-      touched[num_touched++] = s;
-    }
-  }
-  return num_touched;
+  return ScanTouched(partition, flow, touched);
 }
 
 }  // namespace tdmd::shard

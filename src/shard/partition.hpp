@@ -90,8 +90,11 @@ Partition PartitionGraph(const graph::Digraph& g, const PartitionSpec& spec);
 /// Owner shard of `flow` under `partition`: shards touched by the path in
 /// first-touch order, pinned by flow_id.  Deterministic in
 /// (partition, path, flow_id); never returns a shard the path misses.
+/// When `touched_out` is non-null it receives ShardsTouched(partition,
+/// flow) from the same scan.
 std::size_t OwnerShard(const Partition& partition, const traffic::Flow& flow,
-                       std::uint64_t flow_id);
+                       std::uint64_t flow_id,
+                       std::size_t* touched_out = nullptr);
 
 /// Number of distinct shards the flow's path visits (>= 2 means the flow
 /// is cross-shard and its exactly-once pinning matters).

@@ -11,7 +11,6 @@
 
 #include "common/check.hpp"
 #include "core/celf.hpp"
-#include "engine/incremental_gtp.hpp"
 #include "obs/build_info.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -168,13 +167,12 @@ void ShardedEngine::WorkerLoop(Worker& worker) {
   }
 }
 
-void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
+void ShardedEngine::ProcessCommand(Worker& worker,
+                                   const Command& command) {
   if (worker.crashed.load(std::memory_order_relaxed)) {
-    // Quarantined: the engine is gone.  Discard the command (the redo
-    // ring holds the mutating ones for replay) but satisfy round outputs
-    // with neutral values so coordinator rounds stay well-defined.
-    if (command.probe_out != nullptr) command.probe_out->clear();
-    if (command.cert_out != nullptr) *command.cert_out = 0.0;
+    // Quarantined: the engine is gone.  Discard the command; the redo
+    // ring holds the mutating ones for replay, and no probe is routed to
+    // a shard the coordinator knows is quarantined.
     return;
   }
   switch (command.kind) {
@@ -232,10 +230,7 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
       break;
     }
     case Command::Kind::kProbe:
-      *command.probe_out = worker.engine->ProbeMarginalGains(command.budget);
-      break;
-    case Command::Kind::kCertify:
-      *command.cert_out = worker.engine->RefreshCertificate();
+      *command.probe_out = worker.engine->Probe(command.budget);
       break;
     case Command::Kind::kSetBudget:
       ApplyMutation(worker, command);
@@ -251,9 +246,11 @@ void ShardedEngine::ProcessCommand(Worker& worker, Command& command) {
 
 engine::Engine::BatchResult ShardedEngine::ApplyMutation(
     Worker& worker, const Command& command) {
+  // SetBudget only marks the plan dirty; the empty batch that follows
+  // (the retarget carries no churn) runs the forced re-solve, so a
+  // shrunken shard is back within its budget before the round returns.
   if (command.kind == Command::Kind::kSetBudget) {
     worker.engine->SetBudget(command.budget);
-    return {};
   }
   std::vector<engine::FlowTicket> departures;
   departures.reserve(command.departure_ids.size());
@@ -299,7 +296,7 @@ void ShardedEngine::InstallEngine(Worker& worker,
 void ShardedEngine::RouteCommand(std::size_t shard, Command command) {
   if (options_.supervise && (command.kind == Command::Kind::kBatch ||
                              command.kind == Command::Kind::kSetBudget)) {
-    // Record every mutating command (including realloc kicks and shed
+    // Record every mutating command (including budget retargets and shed
     // batches) before it leaves the coordinator: the redo ring must hold
     // exactly what was routed after the last capture, in order.
     ShardGuard& guard = guards_[shard];
@@ -379,8 +376,10 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
   std::vector<std::uint32_t> owners(arrivals.size());
   std::vector<std::size_t> owned(n, 0);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    owners[i] = static_cast<std::uint32_t>(
-        OwnerShard(partition_, arrivals[i], next_flow_id_ + i));
+    std::size_t path_shards = 0;
+    owners[i] = static_cast<std::uint32_t>(OwnerShard(
+        partition_, arrivals[i], next_flow_id_ + i, &path_shards));
+    if (path_shards > 1) ++stats_.cross_shard_flows;
     ++owned[owners[i]];
   }
   for (std::size_t s = 0; s < n; ++s) {
@@ -394,7 +393,6 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
     const traffic::Flow& flow = arrivals[i];
     const FlowId64 id = next_flow_id_++;
     const std::uint32_t s = owners[i];
-    if (ShardsTouched(partition_, flow) > 1) ++stats_.cross_shard_flows;
     shard_arrivals[s].push_back(flow);
     commands[s].arrival_ids.push_back(id);
     flow_owner_.Insert(id, s);
@@ -531,29 +529,23 @@ std::vector<std::size_t> ShardedEngine::AllocateFromCurves(
 
 void ShardedEngine::MaybeReallocateBudgets() {
   const std::size_t n = workers_.size();
-  if (n <= 1 || options_.realloc_interval_epochs == 0) return;
-  if (epoch_ % options_.realloc_interval_epochs != 0) return;
-  ReallocateBudgetsNow();
-}
-
-void ShardedEngine::ReallocateBudgetsNow() {
-  const std::size_t n = workers_.size();
-  if (n <= 1) return;
+  if (n <= 1 || options_.realloc_interval_epochs == 0 ||
+      epoch_ % options_.realloc_interval_epochs != 0) {
+    return;
+  }
+  // A shard still quarantined after the quiesce has no curve to offer;
+  // the round waits for a recovered fleet at a later cadence epoch.
+  if (!Quiesce()) return;
   ++stats_.realloc_rounds;
-  Drain();
 
   // Any shard could in principle hold everything but the other shards'
   // mandatory single boxes, so every curve is probed to that depth.
-  const std::size_t probe_budget = options_.total_budget - (n - 1);
+  std::vector<engine::IncrementalGtpResult> probes =
+      ProbeShards(std::vector<std::size_t>(n, options_.total_budget - (n - 1)));
   std::vector<std::vector<Bandwidth>> curves(n);
   for (std::size_t s = 0; s < n; ++s) {
-    Command probe;
-    probe.kind = Command::Kind::kProbe;
-    probe.budget = probe_budget;
-    probe.probe_out = &curves[s];
-    RouteCommand(s, std::move(probe));
+    curves[s] = std::move(probes[s].chosen_gains);
   }
-  Drain();
 
   const std::vector<std::size_t> proposal = AllocateFromCurves(curves);
   const auto predicted = [&](const std::vector<std::size_t>& alloc) {
@@ -573,7 +565,6 @@ void ShardedEngine::ReallocateBudgetsNow() {
     return;
   }
   ++stats_.realloc_adoptions;
-  std::vector<std::size_t> changed;
   for (std::size_t s = 0; s < n; ++s) {
     if (proposal[s] == shard_budget_[s]) continue;
     if (proposal[s] > shard_budget_[s]) {
@@ -584,18 +575,9 @@ void ShardedEngine::ReallocateBudgetsNow() {
     retarget.budget = proposal[s];
     shard_budget_[s] = proposal[s];
     RouteCommand(s, std::move(retarget));
-    changed.push_back(s);
   }
-  Drain();
-  // SetBudget only marks the plan dirty; the re-solve happens on the next
-  // batch.  Push an empty batch at every retargeted shard so the published
-  // deployments respect the new split before this round returns — without
-  // it a shrunken shard could stay over budget until churn next touches it.
-  for (std::size_t s : changed) {
-    Command kick;
-    kick.kind = Command::Kind::kBatch;
-    RouteCommand(s, std::move(kick));
-  }
+  // Each retarget re-solves at its new budget (ApplyMutation), so the
+  // published deployments respect the new split once this drain returns.
   Drain();
 }
 
@@ -678,11 +660,6 @@ void ShardedEngine::RecoverShard(std::size_t shard) {
   stats_.last_recovery_ns = static_cast<std::uint64_t>(NowNs() - start_ns);
   ++stats_.recoveries_completed;
   worker.stall_flagged = false;
-  // Re-enter the budget-reallocation round: the fleet may have moved
-  // budget while this shard was down, and the recovered shard's curve
-  // belongs back in the merge.  Cadence-independent but respects the
-  // realloc-disabled configuration.
-  if (options_.realloc_interval_epochs != 0) ReallocateBudgetsNow();
 }
 
 void ShardedEngine::MaybeCaptureCheckpoints() {
@@ -727,8 +704,8 @@ void ShardedEngine::CrashShard(std::size_t shard) {
   RouteCommand(shard, std::move(crash));
 }
 
-FleetSnapshot ShardedEngine::Snapshot() {
-  // Quiesce BEFORE the supervision tick: an injected worker abort only
+bool ShardedEngine::Quiesce() {
+  // Drain BEFORE the supervision tick: an injected worker abort only
   // materializes when the worker actually dequeues the poisoned command,
   // which on a saturated (or single-core) host may not happen until the
   // coordinator blocks right here.  Supervise-then-Drain would read the
@@ -736,23 +713,38 @@ FleetSnapshot ShardedEngine::Snapshot() {
   // every crash caused by commands routed so far.
   Drain();
   Supervise();
-  // Certificate refresh round: churn deferral inflates each shard's
-  // running bound by every arrival since its last re-solve, so the
-  // summed fleet certificate would drift looser than a single engine's.
-  // One fresh probe-style solve per non-empty shard (in parallel on the
-  // shard workers) replaces the inflated bounds with exact ones.
-  std::vector<Bandwidth> fresh_certs(workers_.size(), 0.0);
+  return std::all_of(
+      workers_.begin(), workers_.end(),
+      [](const auto& worker) { return worker->engine != nullptr; });
+}
+
+std::vector<engine::IncrementalGtpResult> ShardedEngine::ProbeShards(
+    const std::vector<std::size_t>& budgets) {
+  std::vector<engine::IncrementalGtpResult> probes(workers_.size());
   for (std::size_t s = 0; s < workers_.size(); ++s) {
-    // A persistently failing shard (its recovery faulted on this tick)
-    // has no engine to certify; its status below reports it quarantined.
-    if (workers_[s]->engine == nullptr) continue;
-    if (workers_[s]->engine->index().active_flows() == 0) continue;
-    Command certify;
-    certify.kind = Command::Kind::kCertify;
-    certify.cert_out = &fresh_certs[s];
-    RouteCommand(s, std::move(certify));
+    // Quiesced handoff (rule 3): the coordinator may read the index.
+    const engine::Engine* eng = workers_[s]->engine.get();
+    if (eng == nullptr || eng->index().active_flows() == 0) continue;
+    Command probe;
+    probe.kind = Command::Kind::kProbe;
+    probe.budget = budgets[s];
+    probe.probe_out = &probes[s];
+    RouteCommand(s, std::move(probe));
   }
   Drain();
+  return probes;
+}
+
+FleetSnapshot ShardedEngine::Snapshot() {
+  Quiesce();
+  // Certificate round: churn deferral inflates each shard's running bound
+  // by every arrival since its last re-solve, so the summed fleet
+  // certificate would drift looser than a single engine's.  One read-only
+  // probe per non-empty shard at its budget (in parallel on the shard
+  // workers) certifies exact bounds for this snapshot; each engine's own
+  // tracker keeps its bound until the engine's next re-solve.
+  const std::vector<engine::IncrementalGtpResult> probes =
+      ProbeShards(shard_budget_);
 
   FleetSnapshot snapshot;
   snapshot.epoch = epoch_;
@@ -796,9 +788,9 @@ FleetSnapshot ShardedEngine::Snapshot() {
     status.quarantined = false;
 
     // Empty shard: contributes decrement 0 and the zero bound is exact;
-    // otherwise the fresh bound from this snapshot's certify round.
+    // otherwise the fresh bound from this snapshot's certificate round.
     status.cert_valid = true;
-    status.cert_bound = fresh_certs[s];
+    status.cert_bound = probes[s].opt_decrement_bound;
     snapshot.cert_valid = snapshot.cert_valid && status.cert_valid;
     snapshot.cert_bound += status.cert_bound;
 
@@ -824,7 +816,7 @@ FleetSnapshot ShardedEngine::Snapshot() {
 }
 
 obs::MetricsRegistry ShardedEngine::Metrics() {
-  const FleetSnapshot snapshot = Snapshot();  // drains
+  const FleetSnapshot snapshot = Snapshot();  // quiesces
   obs::MetricsRegistry registry;
 
   engine::EngineStats totals{};
@@ -1098,15 +1090,9 @@ FleetMemoryStats ShardedEngine::MemoryUsageQuiesced() {
 }
 
 std::optional<FleetCheckpoint> ShardedEngine::Checkpoint() {
-  // Quiesce, then recover any quarantined shard: a crash materializes
-  // only when the worker dequeues the poisoned command (possibly during
-  // this very Drain), and a checkpoint must cover every shard's engine.
-  Drain();
-  Supervise();
-  for (const auto& worker : workers_) {
-    // Recovery faulted on this tick; the next tick retries it.
-    if (worker->engine == nullptr) return std::nullopt;
-  }
+  // A checkpoint must cover every shard's engine; a shard whose recovery
+  // faulted on this tick is retried on the next.
+  if (!Quiesce()) return std::nullopt;
   FleetCheckpoint checkpoint;
   checkpoint.num_shards = workers_.size();
   checkpoint.method = partition_.method;

@@ -21,8 +21,8 @@
 //
 // Budget.  The global middlebox budget K is split across shards
 // (initially near-evenly) and reallocated every realloc_interval_epochs:
-// the coordinator drains the fleet, asks every engine for its
-// marginal-decrement curve (Engine::ProbeMarginalGains), and greedily
+// the coordinator quiesces the fleet, asks every engine for its
+// marginal-decrement curve (a read-only Engine::Probe), and greedily
 // merges the curves with the same core::CelfQueue the solvers use —
 // "vertices" are shard ids, the gain oracle is the shard's next curve
 // point.  By submodularity of the per-shard decrement the merged greedy
@@ -44,14 +44,20 @@
 //      routed) the coordinator is the engines' client thread — it may
 //      call client-thread-only Engine methods (index(), Checkpoint())
 //      directly, and it builds, restores and replays shard engines itself
-//      (Restore, recovery).  Rule 2 is what makes this sound; Snapshot/
-//      Metrics/Checkpoint and recovery all drain first.
+//      (Restore, recovery).  Rule 2 is what makes this sound.  Snapshot
+//      (and so Metrics), Checkpoint and the realloc round enter it
+//      through one Quiesce(): Drain, then a supervision tick that
+//      recovers every crash the drain materialized; recovery drains
+//      first.
+// Only the commands a redo ring records (kBatch, kSetBudget) change an
+// engine: the probes of a realloc or certificate round are reads, and
+// recovery only restores and replays.
 // Like Engine, all ShardedEngine methods are single-client-thread.
 //
 // Survivability (DESIGN.md Section 14).  With supervise on, the
 // coordinator doubles as the fleet supervisor: it heartbeats workers at
-// every client-thread entry point (SubmitBatch / Snapshot / Checkpoint /
-// Metrics), detects a crashed shard (its worker caught a fault, dropped
+// every client-thread entry point (SubmitBatch and every Quiesce),
+// detects a crashed shard (its worker caught a fault, dropped
 // its engine, and tombstoned itself) or a stalled one (busy past
 // stall_timeout), quarantines it — routed commands are discarded but
 // recorded — and recovers it on the coordinator: the engine is rebuilt
@@ -88,6 +94,7 @@
 #include "core/deployment.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/engine.hpp"
+#include "engine/incremental_gtp.hpp"
 #include "faults/faults.hpp"
 #include "graph/digraph.hpp"
 #include "obs/histogram.hpp"
@@ -331,12 +338,12 @@ class ShardedEngine {
   /// Blocks until every routed command has completed on its worker.
   void Drain();
 
-  /// Drains, then assembles the union-evaluated fleet snapshot: a
-  /// certify round plus one pass over each shard's live path classes, no
-  /// per-flow work.
+  /// Quiesces, then assembles the union-evaluated fleet snapshot: a
+  /// read-only certificate round plus one pass over each shard's live
+  /// path classes, no per-flow work.  Writes no engine state.
   FleetSnapshot Snapshot();
 
-  /// Drains, then renders the merged fleet exposition: every
+  /// Quiesces, then renders the merged fleet exposition: every
   /// TDMD_ENGINE_STATS_COUNTERS counter summed as `tdmd_fleet_<name>` and
   /// per shard as `tdmd_shard<i>_<name>`, merged latency histograms,
   /// coordinator counters, and the union bandwidth / certificate gauges.
@@ -363,9 +370,9 @@ class ShardedEngine {
 
   /// One supervision tick: recover crashed shards, flag stalled ones,
   /// update the fleet state machine.  Runs automatically at the top of
-  /// SubmitBatch / Snapshot / Checkpoint / Metrics; exposed so drills
-  /// and tests can heartbeat without submitting churn.  No-op unless
-  /// options.supervise.
+  /// SubmitBatch and inside every Quiesce (Snapshot / Metrics /
+  /// Checkpoint / realloc round); exposed so drills and tests can
+  /// heartbeat without submitting churn.  No-op unless options.supervise.
   void Supervise();
 
   /// Deterministic crash drill (requires supervise): routes a poison
@@ -374,7 +381,7 @@ class ShardedEngine {
   /// quarantined until the next supervision tick recovers it.
   void CrashShard(std::size_t shard);
 
-  /// Drains and supervises, then captures the complete fleet state.
+  /// Quiesces, then captures the complete fleet state.
   /// Empty when a shard stays quarantined (its recovery replay faulted
   /// on this tick): a fleet checkpoint must cover every shard.
   std::optional<FleetCheckpoint> Checkpoint();
@@ -391,7 +398,6 @@ class ShardedEngine {
     enum class Kind : std::uint8_t {
       kBatch,
       kProbe,
-      kCertify,
       kSetBudget,
       kCrash,
       kStop,
@@ -411,18 +417,15 @@ class ShardedEngine {
     /// span so a merged trace reconstructs one submit -> dequeue ->
     /// patch -> adopt chain per batch.  Recovery replay keeps it, so the
     /// replayed engine work stays bound to the original batch.  0 for
-    /// control commands (probe, certify, budget, kick), which stay
-    /// unbound.
+    /// control commands (probe, budget), which stay unbound.
     std::uint64_t batch_id = 0;
     /// MonotonicNanos at route time — the admission clock the worker
     /// subtracts to get queue dwell and the e2e stage latencies.
     std::uint64_t route_ns = 0;
-    // kProbe / kCertify / kSetBudget.  probe_out / cert_out are
-    // coordinator-owned and stay valid until the Drain() that follows
-    // the round.
+    // kProbe / kSetBudget.  probe_out is coordinator-owned and stays
+    // valid until the Drain() that follows the round.
     std::size_t budget = 0;
-    std::vector<Bandwidth>* probe_out = nullptr;
-    Bandwidth* cert_out = nullptr;
+    engine::IncrementalGtpResult* probe_out = nullptr;
   };
 
   struct Worker {
@@ -494,10 +497,12 @@ class ShardedEngine {
   };
 
   void WorkerLoop(Worker& worker);
-  void ProcessCommand(Worker& worker, Command& command);
+  void ProcessCommand(Worker& worker, const Command& command);
   /// Applies a mutating command (kBatch, kSetBudget) to `worker`'s engine
-  /// and ticket table.  The worker runs it for routed commands; recovery
-  /// runs it on the coordinator to replay a redo ring.
+  /// and ticket table; a kSetBudget retargets the budget and then runs an
+  /// empty batch, whose forced re-solve fits the plan to the new budget.
+  /// The worker runs it for routed commands; recovery runs it on the
+  /// coordinator to replay a redo ring.
   static engine::Engine::BatchResult ApplyMutation(Worker& worker,
                                                    const Command& command);
   /// Builds `worker`'s engine from `checkpoint` (with the checkpoint's k)
@@ -517,11 +522,22 @@ class ShardedEngine {
   /// callers drain first (MemoryUsage/Metrics both do).
   FleetMemoryStats MemoryUsageQuiesced();
 
+  /// The entry to the quiesced handoff (rule 3) for Snapshot, Checkpoint
+  /// and the realloc round: Drain, then one supervision tick.  Returns
+  /// false when a shard stays quarantined (its recovery replay faulted).
+  bool Quiesce();
+  /// Routes one read-only Engine::Probe(budgets[s]) to every live shard
+  /// that holds flows, and drains.  Empty and quarantined shards read as
+  /// a default result: no curve, a zero bound.  Requires the quiesced
+  /// handoff.
+  std::vector<engine::IncrementalGtpResult> ProbeShards(
+      const std::vector<std::size_t>& budgets);
+
   // --- supervisor internals (client thread) ---------------------------
   /// Quarantined-shard recovery: drain, rebuild the engine from the last
-  /// good checkpoint, replay the redo ring on the coordinator, re-enter
-  /// the budget reallocation round.  A fault during the replay drops the
-  /// engine and leaves the shard quarantined for the next tick.
+  /// good checkpoint and replay the redo ring on the coordinator — nothing
+  /// else.  A fault during the replay drops the engine and leaves the
+  /// shard quarantined for the next tick.
   void RecoverShard(std::size_t shard);
   /// Captures fresh recovery checkpoints when the cadence or a full redo
   /// ring calls for it.
@@ -533,12 +549,9 @@ class ShardedEngine {
   /// Returns true when the batch must be shed.
   bool ApplyBackpressure(std::size_t shard, const Command& command)
       TDMD_EXCLUDES(done_mu_);
-  /// The probe/merge/adopt round of MaybeReallocateBudgets, unguarded by
-  /// the epoch cadence (recovery re-enters it directly).
-  void ReallocateBudgetsNow();
-
-  /// Every realloc_interval_epochs: drain, probe curves, CelfQueue-merge,
-  /// hysteresis-adopt.
+  /// Every realloc_interval_epochs: quiesce, probe curves,
+  /// CelfQueue-merge, hysteresis-adopt.  Skipped while a shard stays
+  /// quarantined, so every probe reaches a live engine.
   void MaybeReallocateBudgets();
   /// Greedy merge of per-shard curves into a split summing to
   /// total_budget (every shard >= 1).
