@@ -36,6 +36,30 @@ std::uint32_t ClassKeyedFlows::AddClass(std::span<const VertexId> path) {
   return static_cast<std::uint32_t>(class_ends.size() - 1);
 }
 
+std::span<const VertexId> ArrivalBatch::Path(std::size_t i) const {
+  TDMD_DCHECK(i < ends.size());
+  const std::uint32_t begin = i == 0 ? 0 : ends[i - 1];
+  return {vertices.data() + begin, ends[i] - begin};
+}
+
+void ArrivalBatch::Append(std::span<const VertexId> path, Rate rate) {
+  vertices.insert(vertices.end(), path.begin(), path.end());
+  ends.push_back(static_cast<std::uint32_t>(vertices.size()));
+  rates.push_back(rate);
+}
+
+void ArrivalBatch::Reserve(std::size_t arrivals, std::size_t arena) {
+  ends.reserve(arrivals);
+  vertices.reserve(arena);
+  rates.reserve(arrivals);
+}
+
+std::size_t ArrivalBatch::MemoryFootprint() const {
+  return ends.capacity() * sizeof(std::uint32_t) +
+         vertices.capacity() * sizeof(VertexId) +
+         rates.capacity() * sizeof(Rate);
+}
+
 FlowTicket FlowCoverageIndex::ComposeTicket(std::uint32_t slot,
                                             std::uint32_t generation) {
   return static_cast<FlowTicket>(
@@ -152,17 +176,22 @@ void FlowCoverageIndex::IndexFlowIntoSlot(std::uint32_t slot,
 }
 
 FlowTicket FlowCoverageIndex::AddFlow(const traffic::Flow& flow) {
-  TDMD_CHECK_MSG(flow.rate > 0, "flow rate must be positive");
   const std::vector<VertexId>& path = flow.path.vertices;
-  // A known path already passed the simple-path check when its class was
-  // created, so only a new path pays for it.
-  std::uint32_t path_class = FindClass(path);
-  TDMD_CHECK_MSG(path_class != kNoClass ||
-                     graph::IsSimplePath(network_, flow.path),
-                 "flow path is not a simple path in the network");
   TDMD_CHECK_MSG(!path.empty() && path.front() == flow.src &&
                      path.back() == flow.dst,
                  "flow path endpoints disagree with src/dst");
+  return AddFlow(path, flow.rate);
+}
+
+FlowTicket FlowCoverageIndex::AddFlow(std::span<const VertexId> path,
+                                      Rate rate) {
+  TDMD_CHECK_MSG(rate > 0, "flow rate must be positive");
+  // A known path already passed the simple-path check when its class was
+  // created, so only a new path pays for it.
+  std::uint32_t path_class = FindClass(path);
+  TDMD_CHECK_MSG(
+      path_class != kNoClass || graph::IsSimplePath(network_, path),
+      "flow path is not a simple path in the network");
   if (fault_injector_ != nullptr) {
     // Before any mutation: an injected throw leaves the index untouched,
     // so the engine's retry loop can simply call AddFlow again.
@@ -180,7 +209,7 @@ FlowTicket FlowCoverageIndex::AddFlow(const traffic::Flow& flow) {
   }
   // Generation was bumped at removal time; slot 0 of a fresh index starts
   // at generation 0, which is fine — the ticket is unique while active.
-  IndexFlowIntoSlot(slot, path_class, flow.rate);
+  IndexFlowIntoSlot(slot, path_class, rate);
   return ComposeTicket(slot, slots_[slot].generation);
 }
 
@@ -264,8 +293,7 @@ void FlowCoverageIndex::RestoreSlots(
       path_class = FindClass(path);
       if (path_class == kNoClass) {
         TDMD_CHECK_MSG(
-            graph::IsSimplePath(network_,
-                                graph::Path{{path.begin(), path.end()}}),
+            graph::IsSimplePath(network_, path),
             "checkpoint flow path is not a simple path in the network");
         path_class = NewClass(path);
       }

@@ -73,6 +73,27 @@ struct ClassKeyedFlows {
   std::uint32_t AddClass(std::span<const VertexId> path);
 };
 
+/// A batch of arrivals in flat (CSR) form — the shard fleet's routed form:
+/// every path back to back in one vertex arena plus one end offset and one
+/// rate per arrival, so building, holding and freeing a batch costs a few
+/// allocations, not one per flow.  Unlike ClassKeyedFlows it has no
+/// tickets or classes: an arrival is not indexed yet.  Each arrival's src
+/// and dst are its path's ends.
+struct ArrivalBatch {
+  /// Arrival i's path is vertices[i == 0 ? 0 : ends[i - 1], ends[i]).
+  std::vector<std::uint32_t> ends;
+  std::vector<VertexId> vertices;
+  std::vector<Rate> rates;
+
+  std::size_t size() const { return rates.size(); }
+  std::span<const VertexId> Path(std::size_t i) const;
+  void Append(std::span<const VertexId> path, Rate rate);
+  /// Sizes the batch for `arrivals` paths of `arena` vertices in all.
+  void Reserve(std::size_t arrivals, std::size_t arena);
+  /// Owned heap bytes.
+  std::size_t MemoryFootprint() const;
+};
+
 struct IndexStats {
   /// Index entries written or erased — the size of the maintained delta,
   /// the engine's substitute for the O(|F| * |V|) rebuild: one slot entry
@@ -95,10 +116,12 @@ class FlowCoverageIndex {
   double lambda() const { return lambda_; }
   VertexId num_vertices() const { return network_.num_vertices(); }
 
-  /// Validates the flow (positive rate, simple path in the network,
-  /// endpoints matching src/dst) and indexes it.  The simple-path check
-  /// runs only for a path no class holds yet; an arrival on a live class
-  /// costs one hash and one arena compare and allocates nothing.
+  /// Validates the flow (positive rate, simple path in the network) and
+  /// indexes it; its src and dst are the path's ends.  The simple-path
+  /// check runs only for a path no class holds yet; an arrival on a live
+  /// class costs one hash and one arena compare and allocates nothing.
+  FlowTicket AddFlow(std::span<const VertexId> path, Rate rate);
+  /// Checks that src/dst are the path's ends, then adds it as above.
   FlowTicket AddFlow(const traffic::Flow& flow);
 
   /// Removes the flow in O(1), or O(|p_f|) when it is its class's last

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/audit.hpp"
@@ -86,6 +87,20 @@ Engine::BatchResult Engine::SubmitBatch(
 Engine::BatchResult Engine::SubmitBatch(
     const traffic::FlowSet& arrivals,
     const std::vector<FlowTicket>& departures, const SubmitOptions& submit) {
+  return SubmitArrivals(arrivals, departures, submit);
+}
+
+Engine::BatchResult Engine::SubmitBatch(
+    const ArrivalBatch& arrivals, const std::vector<FlowTicket>& departures,
+    const SubmitOptions& submit) {
+  return SubmitArrivals(arrivals, departures, submit);
+}
+
+template <typename Arrivals>
+Engine::BatchResult Engine::SubmitArrivals(
+    const Arrivals& arrivals, const std::vector<FlowTicket>& departures,
+    const SubmitOptions& submit) {
+  constexpr bool kFlat = std::is_same_v<Arrivals, ArrivalBatch>;
   BatchResult result;
   obs::ScopedSpan epoch_span(obs::TracePhase::kEpoch);
   epoch_span.set_batch(submit.batch_id);
@@ -128,23 +143,36 @@ Engine::BatchResult Engine::SubmitBatch(
       ++stats_.departures;
     }
     result.tickets.reserve(arrivals.size());
-    for (const traffic::Flow& flow : arrivals) {
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      std::span<const VertexId> path;
+      Rate rate = 0;
+      if constexpr (kFlat) {
+        path = arrivals.Path(i);
+        rate = arrivals.rates[i];
+      } else {
+        path = arrivals[i].path.vertices;
+        rate = arrivals[i].rate;
+      }
       const FlowTicket ticket =
           RetryIndexDeltaLocked([&]() TDMD_REQUIRES(state_mu_) {
-            return index_.AddFlow(flow);
+            if constexpr (kFlat) {
+              return index_.AddFlow(path, rate);
+            } else {
+              return index_.AddFlow(arrivals[i]);  // also checks src/dst
+            }
           });
       result.tickets.push_back(ticket);
       ++stats_.arrivals;
-      const FlowEval eval = EvaluateFlow(flow.path.vertices, flow.rate,
-                                         deployment_, options_.lambda);
+      const FlowEval eval =
+          EvaluateFlow(path, rate, deployment_, options_.lambda);
       maintained_bandwidth_ += eval.contribution;
       if (options_.quality_sampling) {
         // The arrival can add at most rate * (1 - lambda) * |p| to any
         // deployment's decrement (serve at source), so inflating the
         // certificate by that potential keeps it a valid bound.
-        quality_tracker_.OnArrival(
-            static_cast<Bandwidth>(flow.rate) * (1.0 - options_.lambda) *
-            static_cast<Bandwidth>(flow.PathEdges()));
+        quality_tracker_.OnArrival(static_cast<Bandwidth>(rate) *
+                                   (1.0 - options_.lambda) *
+                                   static_cast<Bandwidth>(path.size() - 1));
       }
       if (!eval.covered) uncovered_.push_back(ticket);
     }

@@ -304,6 +304,12 @@ class Engine {
                           const std::vector<FlowTicket>& departures,
                           const SubmitOptions& submit)
       TDMD_EXCLUDES(state_mu_);
+  /// The same epoch over a flat arrival batch (the shard fleet's routed
+  /// form), which carries no src/dst to check: they are the path's ends.
+  BatchResult SubmitBatch(const ArrivalBatch& arrivals,
+                          const std::vector<FlowTicket>& departures,
+                          const SubmitOptions& submit)
+      TDMD_EXCLUDES(state_mu_);
 
   /// Latest published snapshot (never null).  Thread-safe.
   std::shared_ptr<const DeploymentSnapshot> CurrentSnapshot() const
@@ -399,6 +405,14 @@ class Engine {
       TDMD_EXCLUDES(state_mu_);
 
  private:
+  /// The one body of both SubmitBatch overloads; `Arrivals` is
+  /// traffic::FlowSet or ArrivalBatch.
+  template <typename Arrivals>
+  BatchResult SubmitArrivals(const Arrivals& arrivals,
+                             const std::vector<FlowTicket>& departures,
+                             const SubmitOptions& submit)
+      TDMD_EXCLUDES(state_mu_);
+
   /// Greedy-covers currently unserved flows with spare budget; returns
   /// middleboxes added and refreshes maintained_feasible_.
   std::size_t PatchFeasibilityLocked() TDMD_REQUIRES(state_mu_);

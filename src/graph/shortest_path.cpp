@@ -80,15 +80,15 @@ std::optional<Path> RecoverPath(const Digraph& g,
   return path;
 }
 
-bool IsSimplePath(const Digraph& g, const Path& path) {
-  if (path.vertices.empty()) return false;
+bool IsSimplePath(const Digraph& g, std::span<const VertexId> path) {
+  if (path.empty()) return false;
   std::unordered_set<VertexId> seen;
-  for (VertexId v : path.vertices) {
+  for (VertexId v : path) {
     if (!g.IsValidVertex(v)) return false;
     if (!seen.insert(v).second) return false;
   }
-  for (std::size_t i = 0; i + 1 < path.vertices.size(); ++i) {
-    if (g.FindArc(path.vertices[i], path.vertices[i + 1]) == kInvalidEdge) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (g.FindArc(path[i], path[i + 1]) == kInvalidEdge) {
       return false;
     }
   }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -49,6 +50,9 @@ std::optional<Path> RecoverPath(const Digraph& g,
 
 /// Validates that `path` is a real walk in `g` (every consecutive pair is
 /// an arc) with no repeated vertices.
-bool IsSimplePath(const Digraph& g, const Path& path);
+bool IsSimplePath(const Digraph& g, std::span<const VertexId> path);
+inline bool IsSimplePath(const Digraph& g, const Path& path) {
+  return IsSimplePath(g, std::span<const VertexId>(path.vertices));
+}
 
 }  // namespace tdmd::graph

@@ -25,7 +25,7 @@ namespace {
 constexpr std::size_t kRedoRingCapacity = 64;
 
 /// The arrivals of a command that carries none.
-const traffic::FlowSet kNoArrivals;
+const engine::ArrivalBatch kNoArrivals;
 
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -356,55 +356,78 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
   obs::ScopedSpan fleet_span(obs::TracePhase::kFleetSubmit);
   fleet_span.set_batch(batch_id);
   const std::size_t n = workers_.size();
-  std::vector<Command> commands(n);
-  std::vector<traffic::FlowSet> shard_arrivals(n);
-  std::vector<bool> touched(n, false);
 
-  // Departures first (matching Engine::SubmitBatch's order within each
-  // shard batch).
-  for (FlowId64 id : departures) {
-    std::uint32_t s = 0;
-    const bool live = flow_owner_.Take(id, &s);
+  // Owner pass: the owner shard of every event (departures first, matching
+  // Engine::SubmitBatch's order within each shard batch), so each shard's
+  // id lists and arrival arena are sized once per batch.
+  struct ShardLoad {
+    std::size_t departures = 0;
+    std::size_t arrivals = 0;
+    std::size_t vertices = 0;
+  };
+  std::vector<ShardLoad> load(n);
+  std::vector<std::uint32_t> owners(departures.size() + arrivals.size());
+  for (std::size_t i = 0; i < departures.size(); ++i) {
+    const bool live = flow_owner_.Take(departures[i], &owners[i]);
     TDMD_CHECK_MSG(live,
                    "departure for unknown or already-departed fleet flow "
-                       << id);
-    commands[s].departure_ids.push_back(id);
-    touched[s] = true;
+                       << departures[i]);
+    ++load[owners[i]].departures;
+  }
+  const auto in_network = [this](VertexId v) {
+    return network_.IsValidVertex(v);
+  };
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const traffic::Flow& flow = arrivals[i];
+    const std::vector<VertexId>& path = flow.path.vertices;
+    // The partition lookup needs every vertex in range, and the engine
+    // sees only the path of a flat batch, so the checks that do not wait
+    // for the engine's simple-path test run here, with its messages.
+    TDMD_CHECK_MSG(flow.rate > 0, "flow rate must be positive");
+    TDMD_CHECK_MSG(
+        !path.empty() && std::all_of(path.begin(), path.end(), in_network),
+        "flow path is not a simple path in the network");
+    TDMD_CHECK_MSG(path.front() == flow.src && path.back() == flow.dst,
+                   "flow path endpoints disagree with src/dst");
+    std::size_t path_shards = 0;
+    const auto s = static_cast<std::uint32_t>(
+        OwnerShard(partition_, flow, next_flow_id_ + i, &path_shards));
+    if (path_shards > 1) ++stats_.cross_shard_flows;
+    owners[departures.size() + i] = s;
+    ++load[s].arrivals;
+    load[s].vertices += path.size();
   }
 
-  // Owners first, so each shard's arrival lists are sized once.
-  std::vector<std::uint32_t> owners(arrivals.size());
-  std::vector<std::size_t> owned(n, 0);
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    std::size_t path_shards = 0;
-    owners[i] = static_cast<std::uint32_t>(OwnerShard(
-        partition_, arrivals[i], next_flow_id_ + i, &path_shards));
-    if (path_shards > 1) ++stats_.cross_shard_flows;
-    ++owned[owners[i]];
-  }
+  std::vector<Command> commands(n);
+  std::vector<std::shared_ptr<engine::ArrivalBatch>> batches(n);
   for (std::size_t s = 0; s < n; ++s) {
-    shard_arrivals[s].reserve(owned[s]);
-    commands[s].arrival_ids.reserve(owned[s]);
+    commands[s].departure_ids.reserve(load[s].departures);
+    commands[s].arrival_ids.reserve(load[s].arrivals);
+    if (load[s].arrivals == 0) continue;
+    batches[s] = std::make_shared<engine::ArrivalBatch>();
+    batches[s]->Reserve(load[s].arrivals, load[s].vertices);
+  }
+  for (std::size_t i = 0; i < departures.size(); ++i) {
+    commands[owners[i]].departure_ids.push_back(departures[i]);
   }
   BatchResult result;
   result.epoch = epoch_;
   result.flow_ids.reserve(arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const traffic::Flow& flow = arrivals[i];
     const FlowId64 id = next_flow_id_++;
-    const std::uint32_t s = owners[i];
-    shard_arrivals[s].push_back(flow);
+    const std::uint32_t s = owners[departures.size() + i];
+    batches[s]->Append(arrivals[i].path.vertices, arrivals[i].rate);
     commands[s].arrival_ids.push_back(id);
     flow_owner_.Insert(id, s);
     result.flow_ids.push_back(id);
-    touched[s] = true;
   }
 
   std::size_t epoch_events = 0;
   std::size_t epoch_shed_events = 0;
   std::size_t shards_touched = 0;
   for (std::size_t s = 0; s < n; ++s) {
-    if (!touched[s]) {
+    const std::size_t events = load[s].arrivals + load[s].departures;
+    if (events == 0) {
       // The empty-batch skip: an untouched shard pays nothing this epoch
       // (no command, no index delta, no re-solve consideration).
       ++stats_.batches_skipped;
@@ -413,14 +436,9 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
     ++shards_touched;
     commands[s].kind = Command::Kind::kBatch;
     commands[s].batch_id = batch_id;
-    const std::size_t events =
-        shard_arrivals[s].size() + commands[s].departure_ids.size();
-    if (!shard_arrivals[s].empty()) {
-      commands[s].arrivals = std::make_shared<const traffic::FlowSet>(
-          std::move(shard_arrivals[s]));
-    }
+    commands[s].arrivals = std::move(batches[s]);
     epoch_events += events;
-    if (ApplyBackpressure(s, commands[s])) {
+    if (ApplyBackpressure(s)) {
       commands[s].shed = true;
       ++stats_.shed_batches;
       stats_.shed_events += events;
@@ -463,9 +481,7 @@ ShardedEngine::BatchResult ShardedEngine::SubmitBatch(
   return result;
 }
 
-bool ShardedEngine::ApplyBackpressure(std::size_t shard,
-                                      const Command& command) {
-  (void)command;
+bool ShardedEngine::ApplyBackpressure(std::size_t shard) {
   if (options_.queue_depth == 0) return false;
   Worker& worker = *workers_[shard];
   if (worker.inflight.load(std::memory_order_acquire) <
@@ -1074,16 +1090,14 @@ FleetMemoryStats ShardedEngine::MemoryUsageQuiesced() {
   }
   for (const ShardGuard& guard : guards_) {
     for (const Command& entry : guard.ring) {
-      memory.redo_ring_bytes += sizeof(Command);
-      for (const traffic::Flow& flow :
-           entry.arrivals ? *entry.arrivals : kNoArrivals) {
-        memory.redo_ring_bytes +=
-            sizeof(traffic::Flow) +
-            flow.path.vertices.capacity() * sizeof(VertexId);
-      }
       memory.redo_ring_bytes +=
+          sizeof(Command) +
           entry.arrival_ids.capacity() * sizeof(FlowId64) +
           entry.departure_ids.capacity() * sizeof(FlowId64);
+      if (entry.arrivals) {
+        memory.redo_ring_bytes +=
+            sizeof(engine::ArrivalBatch) + entry.arrivals->MemoryFootprint();
+      }
     }
   }
   return memory;

@@ -16,8 +16,11 @@
 // regionalized workloads comes from: the per-epoch CELF re-solve runs
 // against one region's flow subset instead of the global flow set.  Fleet
 // ids map to owners (coordinator) and tickets (workers) through flat
-// IdTables, so an arrival or departure allocates nothing there, and a
-// command's arrivals are shared with the redo ring rather than copied.
+// IdTables, so an arrival or departure allocates nothing there.  A
+// command carries its shard's arrivals as one flat engine::ArrivalBatch
+// (a vertex arena plus one end offset and rate per arrival), which the
+// redo ring shares rather than copies: routing, recording, replaying and
+// freeing a batch cost a few allocations per shard, not one per flow.
 //
 // Budget.  The global middlebox budget K is split across shards
 // (initially near-evenly) and reallocated every realloc_interval_epochs:
@@ -66,10 +69,11 @@
 // replay never revisits the worker-abort fault site.  The supervisor is
 // the fleet's only health state machine: an engine that backs off its
 // re-solves (engine.hpp) reports it through its worker, and the
-// supervisor counts that shard as degraded too.  A
-// capture copies each engine's class-keyed checkpoint (one path per live
-// class, one fixed-size record per flow) and the worker's id table as
-// one vector, so it allocates per class, not per flow.  Replay
+// supervisor counts that shard as degraded too.  A capture copies each
+// engine's class-keyed checkpoint (one path per live class, one
+// fixed-size record per flow) and the worker's id table as one vector,
+// and clearing the ring frees each flat arrival batch as a few vectors,
+// so a capture allocates and frees per class, not per flow.  Replay
 // correctness rests on engine determinism: an engine restored from a
 // checkpoint and fed the same command sequence draws the same tickets
 // and reaches byte-identical state.  Bounded queues add the overload
@@ -404,8 +408,9 @@ class ShardedEngine {
     };
     Kind kind = Kind::kBatch;
     // kBatch.  The arrivals are shared with the shard's redo ring (null
-    // when the batch has none), so recording a command copies no path.
-    std::shared_ptr<const traffic::FlowSet> arrivals;
+    // when the batch has none), so recording a command copies no path and
+    // freeing it frees a few vectors, not one path per flow.
+    std::shared_ptr<const engine::ArrivalBatch> arrivals;
     std::vector<FlowId64> arrival_ids;
     std::vector<FlowId64> departure_ids;
     /// Shed admission: the worker applies the batch with
@@ -545,10 +550,9 @@ class ShardedEngine {
   /// Drains, then snapshots every healthy shard's engine + tickets into
   /// its guard and clears its redo ring.
   void CaptureCheckpoints();
-  /// Blocks (bounded) for shard headroom, then marks the batch shed.
-  /// Returns true when the batch must be shed.
-  bool ApplyBackpressure(std::size_t shard, const Command& command)
-      TDMD_EXCLUDES(done_mu_);
+  /// Blocks (bounded) for `shard`'s headroom; returns true when its
+  /// batch must be shed.
+  bool ApplyBackpressure(std::size_t shard) TDMD_EXCLUDES(done_mu_);
   /// Every realloc_interval_epochs: quiesce, probe curves,
   /// CelfQueue-merge, hysteresis-adopt.  Skipped while a shard stays
   /// quarantined, so every probe reaches a live engine.

@@ -1,7 +1,7 @@
 // ShardedEngine coordinator behavior: exactly-once flow accounting across
 // shards, single-shard parity with the plain engine, budget reallocation,
-// backoff health aggregation and the merged metrics exposition
-// (DESIGN.md Section 13).
+// backoff health aggregation, the merged metrics exposition and the
+// coordinator's arrival checks (DESIGN.md Section 13).
 #include "shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -20,6 +21,7 @@
 #include "engine/churn_trace.hpp"
 #include "engine/engine.hpp"
 #include "faults/faults.hpp"
+#include "graph/digraph.hpp"
 #include "graph/shortest_path.hpp"
 #include "obs/metrics.hpp"
 #include "shard/partition.hpp"
@@ -394,6 +396,38 @@ TEST(ShardEngineTest, MetricsExposeFleetAndPerShardSeries) {
         "tdmd_shard1_bandwidth", "tdmd_shard1_consecutive_failures"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
+}
+
+/// A fleet over the 4-vertex line 0 - 1 - 2 - 3 that admits one flow.
+void SubmitOneFlowToLineFleet(std::vector<VertexId> path, VertexId src,
+                              VertexId dst) {
+  graph::DigraphBuilder builder(4);
+  for (VertexId v = 0; v + 1 < 4; ++v) builder.AddBidirectional(v, v + 1);
+  ShardedEngine fleet(builder.Build(), FleetOptions(2, 4));
+  traffic::Flow flow;
+  flow.src = src;
+  flow.dst = dst;
+  flow.rate = 1;
+  flow.path.vertices = std::move(path);
+  (void)fleet.SubmitBatch({flow}, {});
+  fleet.Drain();
+}
+
+// The coordinator looks up each arrival's path in the partition before
+// any engine sees it, so it checks the vertex range first, with the
+// engine's message; an unchecked lookup read past the shard table.  The
+// fleet is built inside each death statement, so its workers exist only
+// in the child.
+TEST(ShardEngineDeathTest, ArrivalVertexOutsideTheNetworkAborts) {
+  EXPECT_DEATH(SubmitOneFlowToLineFleet({0, 1, 1 << 30}, 0, 1 << 30),
+               "flow path is not a simple path in the network");
+}
+
+// A flat arrival batch carries no src/dst, so the coordinator checks
+// them against the path's ends before routing.
+TEST(ShardEngineDeathTest, ArrivalEndpointMismatchAborts) {
+  EXPECT_DEATH(SubmitOneFlowToLineFleet({0, 1, 2}, 0, 3),
+               "flow path endpoints disagree with src/dst");
 }
 
 }  // namespace
